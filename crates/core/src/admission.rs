@@ -101,6 +101,7 @@ use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
 use crate::key::{Key, Value, MAX_KEY};
 use crate::latency::{LatencyHistogram, LatencySnapshot};
+use crate::level::Level;
 use crate::lsm::GpuLsm;
 use crate::range::RangeResult;
 use crate::router::ShardRouter;
@@ -108,7 +109,8 @@ use crate::shard::{RebalanceAction, ShardedLsm, ShardedStats};
 use crate::validate::InvariantViolation;
 use crate::vfs::Vfs;
 use crate::wal::{
-    self, DegradeMode, DurabilityStats, RecoveryReport, RunMap, SnapshotMeta, SnapshotShard, Wal,
+    self, DegradeMode, DurabilityStats, RecoveryReport, RunMap, RunRef, SnapshotMeta, SnapshotRun,
+    Wal,
 };
 
 /// Lock, recovering from poisoning: an applier panic must not turn every
@@ -366,8 +368,11 @@ struct DurabilityState {
     retired_records: AtomicU64,
     retired_syncs: AtomicU64,
     retired_retries: AtomicU64,
-    /// Run files referenced by the newest manifest — the next snapshot's
-    /// digest-reuse baseline.  Locked after `state`, like `wal`.
+    /// Run files referenced by the newest manifest, each with the id of
+    /// the level it was written from.  The next snapshot carries a file
+    /// over, without copying, encoding or hashing the level, while its
+    /// `(shard, level)` slot still holds a level with that id.  Locked
+    /// after `state`, like `wal`.
     prev_runs: Mutex<RunMap>,
     /// Runs carried over unchanged instead of rewritten.
     runs_reused: AtomicU64,
@@ -671,12 +676,22 @@ impl AdmittedLsm {
                     report.manifest_seq = Some(snapshot.seq);
                     report.corrupt_manifests_skipped = snapshot.corrupt_skipped;
                     let router = ShardRouter::learned(snapshot.split_points.clone())?;
-                    let run_refs = snapshot.run_refs;
+                    let mut run_refs = snapshot.run_refs;
                     let shards = snapshot
                         .shards
                         .into_iter()
-                        .map(|shard| GpuLsm::from_levels(device.clone(), batch_size, shard.levels))
+                        .map(|levels| GpuLsm::from_levels(device.clone(), batch_size, levels))
                         .collect::<Result<Vec<_>>>()?;
+                    // Bind every loaded run to the level just built from
+                    // it, so the next snapshot carries the file over for
+                    // as long as that level stays in its slot.
+                    for (s, lsm) in shards.iter().enumerate() {
+                        for (i, level) in lsm.levels().iter_occupied() {
+                            if let Some(run) = run_refs.get_mut(&(s, i)) {
+                                run.level_id = level.id();
+                            }
+                        }
+                    }
                     let epoch = snapshot.epoch;
                     let service = ShardedLsm::from_parts(
                         device,
@@ -1332,28 +1347,28 @@ fn maybe_snapshot(shared: &Shared, state: &QueueState) -> Result<()> {
 }
 
 /// The snapshot body proper: sync the WAL, write the next manifest
-/// generation (reusing unchanged run files), rotate to a fresh segment,
-/// and garbage-collect superseded generations.
+/// generation (carrying unchanged run files over), rotate to a fresh
+/// segment, and garbage-collect superseded generations.
 fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
     // Everything logged so far must be on disk before the manifest can
     // supersede it (the manifest ends the previous generation).
     lock_ignore_poison(&d.wal).sync()?;
     let seq = d.manifest_seq.load(Ordering::Relaxed) + 1;
     let table = shared.service.table_snapshot();
-    let shards: Vec<SnapshotShard> = table
+    let prev = lock_ignore_poison(&d.prev_runs).clone();
+    let shards: Vec<Vec<(usize, SnapshotRun)>> = table
         .shards
         .iter()
-        .map(|shard| {
-            shard.with_read(|lsm| SnapshotShard {
-                levels: lsm
-                    .levels()
+        .enumerate()
+        .map(|(s, shard)| {
+            shard.with_read(|lsm| {
+                lsm.levels()
                     .iter_occupied()
-                    .map(|(i, level)| (i, level.keys().to_vec(), level.values().to_vec()))
-                    .collect(),
+                    .map(|(i, level)| (i, snapshot_run(prev.get(&(s, i)), level)))
+                    .collect()
             })
         })
         .collect();
-    let prev = lock_ignore_poison(&d.prev_runs).clone();
     let (runs, reused) = wal::write_snapshot(
         &d.vfs,
         &d.config.dir,
@@ -1364,7 +1379,6 @@ fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
         },
         &table.router.split_points(),
         &shards,
-        &prev,
     )?;
     let fresh = Wal::create(
         &d.vfs,
@@ -1385,6 +1399,31 @@ fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
     d.gc_failures.fetch_add(failures, Ordering::Relaxed);
     *lock_ignore_poison(&d.prev_runs) = runs;
     Ok(())
+}
+
+/// What a snapshot writes for `level`, given the run its slot referenced in
+/// the previous generation: that run again if it was written from this very
+/// level (same id, so same bytes), otherwise a copy of the contents.
+fn snapshot_run(prev: Option<&RunRef>, level: &Level) -> SnapshotRun {
+    match prev {
+        Some(run) if run.level_id == level.id() => {
+            debug_assert_eq!(
+                (run.len, run.digest),
+                (
+                    level.len() as u64,
+                    wal::run_digest(level.keys(), level.values())
+                ),
+                "level {} changed bytes under a carried id",
+                level.id()
+            );
+            SnapshotRun::Carried(*run)
+        }
+        _ => SnapshotRun::Fresh {
+            id: level.id(),
+            keys: level.keys().to_vec(),
+            values: level.values().to_vec(),
+        },
+    }
 }
 
 /// Split a batch by shard and keep the non-empty parts in shard order.

@@ -38,7 +38,7 @@
 //! narrowed search returns exactly the index a full search would.  Query
 //! results are therefore bit-identical with the acceleration on or off.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use gpu_primitives::fence::FenceArray;
 use gpu_primitives::filter::{config_bits_per_key, BloomFilter};
@@ -94,6 +94,10 @@ pub struct LevelProbe {
     pub probes: u32,
 }
 
+/// Source of [`Level::id`]: process-wide, so no two separately built levels
+/// share an id, whichever structure or service built them.
+static NEXT_LEVEL_ID: AtomicU64 = AtomicU64::new(1);
+
 /// One occupied level of the LSM.
 ///
 /// Key and value arrays live in `Storage` (see `crate::arena`): a plain vector
@@ -101,8 +105,12 @@ pub struct LevelProbe {
 /// reserved slab-arena region for carry-chain outputs.  Cloning a level
 /// deep-copies arena-backed storage to owned vectors, so clones never alias
 /// the arena.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Level {
+    /// Drawn from [`NEXT_LEVEL_ID`] by every constructor and kept by
+    /// clones.  A level has no mutators, so two levels with equal ids hold
+    /// equal bytes; snapshots use that to carry unchanged runs over.
+    id: u64,
     keys: Storage,
     values: Storage,
     filter: Option<BloomFilter>,
@@ -112,6 +120,8 @@ pub struct Level {
 /// Level equality is over contents only; the filter and fences are a pure
 /// function of the keys (plus process-wide sizing) and are excluded so that
 /// filters-on and filters-off structures holding the same data compare equal.
+/// The id is excluded too: separately built levels with the same contents
+/// are equal.
 impl PartialEq for Level {
     fn eq(&self, other: &Self) -> bool {
         self.keys.as_slice() == other.keys.as_slice()
@@ -156,6 +166,7 @@ impl Level {
             debug_assert_eq!(f.max_key(), original_key(keys[keys.len() - 1]));
         }
         Level {
+            id: NEXT_LEVEL_ID.fetch_add(1, Ordering::Relaxed),
             keys,
             values,
             filter,
@@ -167,11 +178,6 @@ impl Level {
     /// here, in one streaming pass over the freshly produced keys, and are
     /// never touched again until the level is consumed by a merge.
     fn build(keys: Vec<EncodedKey>, values: Vec<Value>, filter_min_len: usize) -> Self {
-        debug_assert_eq!(keys.len(), values.len());
-        debug_assert!(
-            keys.windows(2).all(|w| !key_less(&w[1], &w[0])),
-            "level keys must be sorted by original key"
-        );
         let filter = if keys.len() >= filter_min_len {
             BloomFilter::build(keys.iter().map(|&k| original_key(k)), config_bits_per_key())
         } else {
@@ -182,12 +188,13 @@ impl Level {
             gpu_primitives::fence::DEFAULT_FENCE_INTERVAL,
             |i| original_key(keys[i]),
         );
-        Level {
-            keys: keys.into(),
-            values: values.into(),
-            filter,
-            fences,
-        }
+        Self::from_sorted_with_aux(keys, values, filter, fences)
+    }
+
+    /// The level's identity: equal ids imply equal contents (see the
+    /// field's doc).  Never 0.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     // ------------------------------------------------------------------

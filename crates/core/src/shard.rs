@@ -174,9 +174,9 @@ pub struct ShardedStats {
     /// Sum of slab-arena counters over all shards (all-zero when the arena
     /// is disabled everywhere).
     pub arena: crate::arena::ArenaStats,
-    /// Sum of lifetime update operations over all shards.  Note that a
-    /// rebalance rebuilds the affected shards with fresh counters, so this
-    /// can decrease across a split/merge.
+    /// Sum of lifetime update operations over all shards.  A split or
+    /// merge passes its drained shards' counters on to their replacements,
+    /// so this never decreases across a rebalance.
     pub update_ops: u64,
     /// Sum of lifetime point lookups over all shards.
     pub lookup_ops: u64,
@@ -1318,10 +1318,17 @@ mod tests {
         lsm.delete(&[keys[3], keys[7]]).unwrap();
         let before_lookup = lsm.lookup(&keys);
         let before_count = lsm.count(&[(0, MAX_KEY)]);
+        let before_updates = lsm.stats().update_ops;
+        assert_eq!(before_updates, 42);
 
         let split_key = lsm.split_shard(0).unwrap();
         assert_eq!(lsm.num_shards(), 3);
         assert_eq!(lsm.epoch(), 1);
+        assert_eq!(
+            lsm.stats().update_ops,
+            before_updates,
+            "split keeps counters"
+        );
         let router = lsm.router();
         assert!(router.split_points().contains(&split_key));
         lsm.check_invariants().unwrap();
@@ -1341,6 +1348,7 @@ mod tests {
         let stats = lsm.stats();
         assert_eq!(stats.rebalance_splits, 1);
         assert_eq!(stats.rebalance_merges, 1);
+        assert_eq!(stats.update_ops, before_updates, "merge keeps counters");
 
         // Updates keep working against the new routing generation.
         lsm.insert(&[(split_key, 42)]).unwrap();
@@ -1358,6 +1366,12 @@ mod tests {
         let stats = lsm.stats();
         assert_eq!(stats.per_shard[0].valid_elements, 2);
         assert_eq!(stats.per_shard[1].valid_elements, 2);
+        // The parent's 4 updates are split between the halves, not lost.
+        assert_eq!(stats.update_ops, 4);
+        assert_eq!(
+            stats.per_shard[0].update_ops + stats.per_shard[1].update_ops,
+            4
+        );
         lsm.check_invariants().unwrap();
         // Invalid requests are rejected without mutating the table.
         assert!(lsm.split_shard_at(0, 0).is_err());
@@ -1376,6 +1390,7 @@ mod tests {
         assert_eq!(clone.lookup(&[1, 2]), vec![Some(10), Some(20)]);
         clone.merge_shards(0).unwrap();
         assert_eq!(lsm.num_shards(), 2);
+        assert_eq!(lsm.stats().update_ops, 2, "split + merge keep counters");
     }
 
     #[test]
@@ -1391,9 +1406,13 @@ mod tests {
         });
         let lsm = ShardedLsm::with_config(device(), 16, 2, config).unwrap();
         // Every key lands in shard 0's low corner: shard 0 is hot.
+        let mut last_updates = 0;
         for round in 0..8u32 {
             let pairs: Vec<(u32, u32)> = (0..16u32).map(|i| (round * 16 + i, i)).collect();
             lsm.insert(&pairs).unwrap();
+            let updates = lsm.stats().update_ops;
+            assert_eq!(updates, last_updates + 16, "round {round}: no update lost");
+            last_updates = updates;
         }
         assert!(
             lsm.num_shards() > 2,
@@ -1420,9 +1439,13 @@ mod tests {
         let lsm = ShardedLsm::with_config(device(), 16, 8, config).unwrap();
         // All traffic in the top shard; the bottom pairs go cold.
         let base = key_in(8, 7, 0);
+        let mut last_updates = 0;
         for round in 0..8u32 {
             let pairs: Vec<(u32, u32)> = (0..16u32).map(|i| (base + round * 16 + i, i)).collect();
             lsm.insert(&pairs).unwrap();
+            let updates = lsm.stats().update_ops;
+            assert_eq!(updates, last_updates + 16, "round {round}: no update lost");
+            last_updates = updates;
         }
         assert!(
             lsm.num_shards() < 8,

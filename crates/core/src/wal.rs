@@ -11,15 +11,23 @@
 //! Levels are immutable sorted runs, so a crash-consistent snapshot is a
 //! **manifest** (router split points, epoch, batch size, per-shard level
 //! list with run checksums) plus one **run file** per occupied level.
-//! Snapshots are *incremental*: a level whose run digest matches the
-//! previous generation keeps referencing the already-written file instead
-//! of rewriting it, so a flush-barrier snapshot only pays for changed
-//! runs.  The admission layer writes a snapshot at quiescent flush
-//! barriers and after shard split/merge epoch bumps, then rotates the WAL
-//! to a fresh segment keyed by the new manifest sequence number and
-//! garbage-collects the superseded generation (sparing carried-over
-//! runs).  Manifests become visible via an atomic tmp-write + rename, so
-//! a torn manifest write can never shadow a valid older one.
+//! Snapshots are *incremental*, decided by level identity: every level
+//! gets a process-wide id when it is built, and a level has no mutators,
+//! so a `(shard, level)` slot that still holds the level (by id) its run
+//! file was written from keeps referencing that file.  Such a carried
+//! level is not copied, encoded or hashed; a flush-barrier snapshot only
+//! pays for the levels built since the previous one.  Ids live in memory
+//! only: recovery binds each loaded run to the level it builds from it.
+//! The on-disk format (`MANIFEST_VERSION` 2, per-run file sequence
+//! numbers, lengths and digests) and the load-time checksum of every run
+//! file are the same whether a run was carried or written.
+//!
+//! The admission layer writes a snapshot at quiescent flush barriers and
+//! after shard split/merge epoch bumps, then rotates the WAL to a fresh
+//! segment keyed by the new manifest sequence number and garbage-collects
+//! the superseded generation (sparing carried-over runs).  Manifests
+//! become visible via an atomic tmp-write + rename, so a torn manifest
+//! write can never shadow a valid older one.
 //!
 //! Every filesystem operation goes through the [`crate::vfs::Vfs`] seam.
 //! Transient IO errors on append/fsync are retried per [`RetryPolicy`];
@@ -669,24 +677,40 @@ impl Wal {
 // Snapshots: manifest + run files
 // ----------------------------------------------------------------------
 
-/// One shard's contribution to a snapshot: its occupied levels as raw
-/// `(level index, encoded keys, values)` dumps.
+/// What a snapshot writes for one occupied `(shard, level)` slot.
 #[derive(Debug)]
-pub(crate) struct SnapshotShard {
-    /// Occupied levels, smallest index first.
-    pub levels: Vec<(usize, Vec<EncodedKey>, Vec<Value>)>,
+pub(crate) enum SnapshotRun {
+    /// The slot still holds the level the previous generation's run file
+    /// was written from (same [`crate::level::Level`] id, hence the same
+    /// bytes): the manifest references that file again.
+    Carried(RunRef),
+    /// Any other level: its contents, copied out of the shard, to be
+    /// encoded, checksummed and written as this generation's run file.
+    Fresh {
+        id: u64,
+        keys: Vec<EncodedKey>,
+        values: Vec<Value>,
+    },
 }
 
 /// A run file referenced by a manifest: which generation physically wrote
 /// it (`file_seq` — older than the manifest's own seq when the run was
-/// carried over unchanged), plus the length and digest that let the next
-/// snapshot skip rewriting an identical level.
+/// carried over), plus the length and digest the manifest records for it.
+/// `level_id` lives in memory only: the id of the level the file was
+/// written from, which decides whether the next snapshot carries the file
+/// over.  Runs loaded from disk start at 0, an id no level has, until
+/// recovery binds them to the levels it builds from them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RunRef {
+    pub level_id: u64,
     pub file_seq: u64,
     pub len: u64,
     pub digest: u64,
 }
+
+/// One level read back from its run file: `(level index, encoded keys,
+/// values)`.
+pub(crate) type LevelDump = (usize, Vec<EncodedKey>, Vec<Value>);
 
 /// Live run files keyed by `(shard, level)`.
 pub(crate) type RunMap = HashMap<(usize, usize), RunRef>;
@@ -706,9 +730,10 @@ pub(crate) struct LoadedSnapshot {
     pub epoch: u64,
     pub batch_size: usize,
     pub split_points: Vec<Key>,
-    pub shards: Vec<SnapshotShard>,
-    /// The run files this manifest references (seeds the next snapshot's
-    /// reuse check).
+    /// Per shard, its occupied levels, smallest index first.
+    pub shards: Vec<Vec<LevelDump>>,
+    /// The run files this manifest references, not yet bound to levels
+    /// (`level_id` 0).
     pub run_refs: RunMap,
     /// Newer manifests skipped because they failed validation.
     pub corrupt_skipped: u64,
@@ -726,6 +751,11 @@ fn encode_run(keys: &[EncodedKey], values: &[Value]) -> Vec<u8> {
         put_u32(&mut out, v);
     }
     out
+}
+
+/// The digest a manifest records for the run file of these arrays.
+pub(crate) fn run_digest(keys: &[EncodedKey], values: &[Value]) -> u64 {
+    fnv1a(&encode_run(keys, values))
 }
 
 fn decode_run(bytes: &[u8], path: &Path) -> Result<(Vec<EncodedKey>, Vec<Value>)> {
@@ -755,20 +785,20 @@ fn decode_run(bytes: &[u8], path: &Path) -> Result<(Vec<EncodedKey>, Vec<Value>)
     Ok((keys, values))
 }
 
-/// Write snapshot generation `meta.seq`: every *changed* run file (synced),
-/// then the manifest via tmp-write + fsync + atomic rename + dir sync.
-/// A level whose encoded run matches `prev` by length and digest reuses
-/// the already-durable file from the earlier generation instead of
-/// rewriting it.  Only the rename makes the generation visible, so a
-/// crash anywhere in here leaves the previous generation authoritative.
-/// Returns the new generation's run map and how many runs were reused.
+/// Write snapshot generation `meta.seq` from `shards` (per shard, its
+/// occupied levels smallest index first): every [`SnapshotRun::Fresh`]
+/// run file (synced), then the manifest via tmp-write + fsync + atomic
+/// rename + dir sync.  A [`SnapshotRun::Carried`] run writes nothing; the
+/// manifest references the earlier generation's file.  Only the rename
+/// makes the generation visible, so a crash anywhere in here leaves the
+/// previous generation authoritative.  Returns the new generation's run
+/// map and how many runs were carried.
 pub(crate) fn write_snapshot(
     vfs: &Arc<dyn Vfs>,
     dir: &Path,
     meta: SnapshotMeta,
     split_points: &[Key],
-    shards: &[SnapshotShard],
-    prev: &RunMap,
+    shards: &[Vec<(usize, SnapshotRun)>],
 ) -> Result<(RunMap, u64)> {
     let mut runs = RunMap::new();
     let mut reused = 0u64;
@@ -783,31 +813,26 @@ pub(crate) fn write_snapshot(
         put_u32(&mut manifest, p);
     }
     put_u32(&mut manifest, shards.len() as u32);
-    for (s, shard) in shards.iter().enumerate() {
-        put_u32(&mut manifest, shard.levels.len() as u32);
-        for (i, keys, values) in &shard.levels {
-            let run = encode_run(keys, values);
-            let digest = fnv1a(&run);
-            let len = keys.len() as u64;
-            let carried = prev
-                .get(&(s, *i))
-                .copied()
-                .filter(|r| r.digest == digest && r.len == len);
-            let run_ref = match carried {
-                Some(r) => {
+    for (s, levels) in shards.iter().enumerate() {
+        put_u32(&mut manifest, levels.len() as u32);
+        for (i, run) in levels {
+            let run_ref = match run {
+                SnapshotRun::Carried(r) => {
                     reused += 1;
-                    r
+                    *r
                 }
-                None => {
+                SnapshotRun::Fresh { id, keys, values } => {
+                    let bytes = encode_run(keys, values);
                     let path = run_path(dir, meta.seq, s, *i);
-                    vfs.write(&path, &run)
+                    vfs.write(&path, &bytes)
                         .map_err(|e| io_err("write run", &path, e))?;
                     vfs.sync_file(&path)
                         .map_err(|e| io_err("sync run", &path, e))?;
                     RunRef {
+                        level_id: *id,
                         file_seq: meta.seq,
-                        len,
-                        digest,
+                        len: keys.len() as u64,
+                        digest: fnv1a(&bytes),
                     }
                 }
             };
@@ -895,6 +920,7 @@ fn load_manifest(vfs: &Arc<dyn Vfs>, dir: &Path, seq: u64) -> Result<LoadedSnaps
             run_refs.insert(
                 (s, i as usize),
                 RunRef {
+                    level_id: 0,
                     file_seq: run_seq,
                     len,
                     digest,
@@ -902,7 +928,7 @@ fn load_manifest(vfs: &Arc<dyn Vfs>, dir: &Path, seq: u64) -> Result<LoadedSnaps
             );
             levels.push((i as usize, keys, values));
         }
-        shards.push(SnapshotShard { levels });
+        shards.push(levels);
     }
     if cur.pos != body.len() {
         return Err(corrupt("trailing bytes in manifest", &path));
@@ -1200,36 +1226,46 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A fresh run for level slot `level` (the level id is irrelevant to
+    /// the writer beyond being recorded).
+    fn fresh(level: usize, keys: Vec<u32>, values: Vec<u32>) -> (usize, SnapshotRun) {
+        let id = 100 + level as u64;
+        (level, SnapshotRun::Fresh { id, keys, values })
+    }
+
+    /// The file names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn snapshot_round_trips_and_newest_valid_wins() {
         let dir = temp_dir("snapshot");
         let vfs = real();
-        let shard = SnapshotShard {
-            levels: vec![(0, vec![2, 5, 9, 12], vec![1, 2, 3, 4])],
-        };
-        write_snapshot(&vfs, &dir, meta(1, 0, 4), &[], &[shard], &RunMap::new()).unwrap();
-        let shard2 = SnapshotShard {
-            levels: vec![(1, vec![2, 5, 9, 12, 14, 17, 21, 25], vec![0; 8])],
-        };
-        write_snapshot(
-            &vfs,
-            &dir,
-            meta(2, 3, 4),
-            &[1000],
-            &[shard2, SnapshotShard { levels: vec![] }],
-            &RunMap::new(),
-        )
-        .unwrap();
+        let shard = vec![fresh(0, vec![2, 5, 9, 12], vec![1, 2, 3, 4])];
+        write_snapshot(&vfs, &dir, meta(1, 0, 4), &[], &[shard]).unwrap();
+        let shard2 = vec![fresh(1, vec![2, 5, 9, 12, 14, 17, 21, 25], vec![0; 8])];
+        write_snapshot(&vfs, &dir, meta(2, 3, 4), &[1000], &[shard2, vec![]]).unwrap();
         let loaded = load_newest_snapshot(&vfs, &dir).unwrap().unwrap();
         assert_eq!(loaded.seq, 2);
         assert_eq!(loaded.epoch, 3);
         assert_eq!(loaded.batch_size, 4);
         assert_eq!(loaded.split_points, vec![1000]);
         assert_eq!(loaded.shards.len(), 2);
-        assert_eq!(loaded.shards[0].levels[0].0, 1);
-        assert_eq!(loaded.shards[0].levels[0].1.len(), 8);
+        assert_eq!(loaded.shards[0][0].0, 1);
+        assert_eq!(loaded.shards[0][0].1.len(), 8);
         assert_eq!(loaded.corrupt_skipped, 0);
         assert_eq!(loaded.run_refs[&(0, 1)].file_seq, 2);
+        assert_eq!(
+            loaded.run_refs[&(0, 1)].level_id,
+            0,
+            "loaded runs are unbound"
+        );
 
         // Corrupt the newest manifest: recovery falls back to seq 1.
         let mut bytes = fs::read(manifest_path(&dir, 2)).unwrap();
@@ -1246,32 +1282,48 @@ mod tests {
     fn unchanged_runs_are_reused_across_generations() {
         let dir = temp_dir("incremental");
         let vfs = real();
-        let stable = (0usize, vec![2u32, 5, 9, 12], vec![1u32, 2, 3, 4]);
-        let shards1 = [SnapshotShard {
-            levels: vec![stable.clone(), (1, vec![14, 17], vec![7, 8])],
-        }];
-        let (runs1, reused1) =
-            write_snapshot(&vfs, &dir, meta(1, 0, 2), &[], &shards1, &RunMap::new()).unwrap();
+        let (stable_keys, stable_values) = (vec![2u32, 5, 9, 12], vec![1u32, 2, 3, 4]);
+        let gen1 = [vec![
+            fresh(0, stable_keys.clone(), stable_values.clone()),
+            fresh(1, vec![14, 17], vec![7, 8]),
+        ]];
+        let (runs1, reused1) = write_snapshot(&vfs, &dir, meta(1, 0, 2), &[], &gen1).unwrap();
         assert_eq!(reused1, 0);
-        // Generation 2: level 0 unchanged, level 1 changed.
-        let shards2 = [SnapshotShard {
-            levels: vec![stable.clone(), (1, vec![14, 17, 21, 25], vec![7, 8, 9, 10])],
-        }];
-        let (runs2, reused2) =
-            write_snapshot(&vfs, &dir, meta(2, 0, 2), &[], &shards2, &runs1).unwrap();
+        let stable = runs1[&(0, 0)];
+        assert_eq!(stable.level_id, 100);
+        assert_eq!(stable.digest, run_digest(&stable_keys, &stable_values));
+
+        // Generation 2: level 0 carried by reference, level 1 changed.  The
+        // carried entry writes no file and keeps generation 1's file_seq.
+        let gen2 = [vec![
+            (0, SnapshotRun::Carried(stable)),
+            fresh(1, vec![14, 17, 21, 25], vec![7, 8, 9, 10]),
+        ]];
+        let (runs2, reused2) = write_snapshot(&vfs, &dir, meta(2, 0, 2), &[], &gen2).unwrap();
         assert_eq!(reused2, 1);
-        assert_eq!(runs2[&(0, 0)].file_seq, 1, "level 0 carried over");
+        assert_eq!(runs2[&(0, 0)], stable, "level 0 carried over as is");
         assert_eq!(runs2[&(0, 1)].file_seq, 2, "level 1 rewritten");
-        assert!(!run_path(&dir, 2, 0, 0).exists());
+        assert_eq!(
+            listing(&dir),
+            [
+                "MANIFEST-1",
+                "MANIFEST-2",
+                "run-1-0-0.bin",
+                "run-1-0-1.bin",
+                "run-2-0-1.bin"
+            ],
+            "only the changed run was written"
+        );
         // GC of generation 1 must spare the carried-over run.
         assert_eq!(collect_garbage(&vfs, &dir, 2, &runs2), 0);
-        assert!(run_path(&dir, 1, 0, 0).exists());
-        assert!(!run_path(&dir, 1, 0, 1).exists());
-        assert!(!manifest_path(&dir, 1).exists());
+        assert_eq!(
+            listing(&dir),
+            ["MANIFEST-2", "run-1-0-0.bin", "run-2-0-1.bin"]
+        );
         // And the surviving generation still loads in full.
         let loaded = load_newest_snapshot(&vfs, &dir).unwrap().unwrap();
         assert_eq!(loaded.seq, 2);
-        assert_eq!(loaded.shards[0].levels[0].1, stable.1);
+        assert_eq!(loaded.shards[0][0].1, stable_keys);
         assert_eq!(loaded.run_refs[&(0, 0)].file_seq, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1280,13 +1332,9 @@ mod tests {
     fn garbage_collection_keeps_current_generation() {
         let dir = temp_dir("gc");
         let vfs = real();
-        let empty = || SnapshotShard {
-            levels: vec![(0, vec![3], vec![7])],
-        };
-        let (_, _) =
-            write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &[empty()], &RunMap::new()).unwrap();
-        let (runs2, _) =
-            write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &[empty()], &RunMap::new()).unwrap();
+        let shard = || vec![fresh(0, vec![3], vec![7])];
+        write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &[shard()]).unwrap();
+        let (runs2, _) = write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &[shard()]).unwrap();
         drop(Wal::create(&vfs, segment_path(&dir, 1), 1, RetryPolicy::none()).unwrap());
         drop(Wal::create(&vfs, segment_path(&dir, 2), 1, RetryPolicy::none()).unwrap());
         assert_eq!(collect_garbage(&vfs, &dir, 2, &runs2), 0);
@@ -1303,12 +1351,9 @@ mod tests {
     fn gc_failures_are_counted_not_swallowed() {
         let dir = temp_dir("gcfail");
         let vfs = real();
-        let shard = || SnapshotShard {
-            levels: vec![(0, vec![3], vec![7])],
-        };
-        write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &[shard()], &RunMap::new()).unwrap();
-        let (runs2, _) =
-            write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &[shard()], &RunMap::new()).unwrap();
+        let shard = || vec![fresh(0, vec![3], vec![7])];
+        write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &[shard()]).unwrap();
+        let (runs2, _) = write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &[shard()]).unwrap();
         let faulty: Arc<dyn Vfs> = Arc::new(FaultVfs::scripted(vec![Fault::permanent(
             FaultOp::Remove,
             0,

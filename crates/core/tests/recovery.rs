@@ -428,6 +428,45 @@ fn unchanged_runs_are_reused_across_snapshot_generations() {
     let want: Vec<Option<u32>> = low.iter().chain(&high).map(|&(_, v)| Some(v)).collect();
     assert_eq!(lsm.lookup(&keys), want);
     lsm.check_invariants().unwrap();
+
+    // Carrying survives the restart: recovery binds the loaded runs to the
+    // levels it built, so a barrier touching only shard 1 (generation 3)
+    // still references generation 1's file for shard 0 and writes nothing
+    // new for it.
+    let high2: Vec<(u32, u32)> = (0..BATCH_SIZE as u32)
+        .map(|i| ((1 << 30) + BATCH_SIZE as u32 + i, i + 2))
+        .collect();
+    lsm.insert(&high2).unwrap();
+    lsm.flush().unwrap();
+    let stats = lsm.durability_stats().unwrap();
+    assert_eq!(stats.manifest_seq, 3);
+    assert_eq!(stats.runs_reused, 1, "shard 0's run carried");
+    // Generation 3's garbage collection removes every older run it does
+    // not reference, so the survivor is still shard 0's run.
+    let runs: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("run-"))
+        .collect();
+    assert!(
+        runs.contains(&"run-1-0-0.bin".to_string()),
+        "runs: {runs:?}"
+    );
+    assert!(
+        !runs.iter().any(|name| name.starts_with("run-3-0-")),
+        "no new run for shard 0: {runs:?}"
+    );
+    drop(lsm);
+
+    // Generation 3 recovers in full from the carried and the new runs.
+    let (lsm, report) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(&dir)).unwrap();
+    assert_eq!(report.manifest_seq, Some(3));
+    assert_eq!(report.replayed_batches, 0);
+    let all = [low, high, high2].concat();
+    let keys: Vec<u32> = all.iter().map(|&(k, _)| k).collect();
+    let want: Vec<Option<u32>> = all.iter().map(|&(_, v)| Some(v)).collect();
+    assert_eq!(lsm.lookup(&keys), want);
+    lsm.check_invariants().unwrap();
     drop(lsm);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -343,11 +343,13 @@ fn sharded_differential_with_rebalancing_mid_sequence() {
     let sharded = ShardedLsm::new(device, batch_size, 2).unwrap();
     let mut model: BTreeMap<u32, u32> = BTreeMap::new();
     let mut last_epoch = 0;
+    let mut updates = 0u64;
 
     for i in 0..30 {
         let batch = random_batch(&mut rng, &probe_router, batch_size);
         plain.update(&batch).unwrap();
         sharded.update(&batch).unwrap();
+        updates += batch.len() as u64;
         for op in batch.ops() {
             match *op {
                 Op::Insert(k, v) => {
@@ -380,6 +382,8 @@ fn sharded_differential_with_rebalancing_mid_sequence() {
         }
         assert!(sharded.epoch() >= last_epoch, "epoch must be monotonic");
         last_epoch = sharded.epoch();
+        // Splits and merges hand their shards' counters on: none is lost.
+        assert_eq!(sharded.stats().update_ops, updates, "batch {i}: update_ops");
 
         let mut lookups: Vec<u32> = batch.ops().iter().map(|op| op.key()).collect();
         lookups.extend((0..32).map(|_| boundary_biased_key(&mut rng, &probe_router)));

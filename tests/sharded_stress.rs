@@ -401,6 +401,11 @@ fn sharded_rebalance_churn_under_concurrent_mixed_fire() {
     let stats = lsm.stats();
     assert_eq!(stats.rebalance_splits, stats.rebalance_merges);
     assert_eq!(stats.epoch, stats.rebalance_splits + stats.rebalance_merges);
+    // Every rebuild passed its shards' counters on: no update was lost.
+    let written: usize = (0..WRITERS)
+        .flat_map(|w| (1..=ROUNDS).map(move |r| round_batch(block_base(w), r).len()))
+        .sum();
+    assert_eq!(stats.update_ops, written as u64);
     lsm.check_invariants().unwrap();
 }
 
