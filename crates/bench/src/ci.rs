@@ -223,10 +223,11 @@ fn lookup_miss_rate(n: usize) -> f64 {
 
 /// Rate of `num_queries` warp-style bulk lookups ([`GpuLsm::bulk_get`])
 /// against a multi-level LSM of 11 · 8Ki elements, queries drawn from the
-/// resident keys.  The bulk path sorts the queries, marches them through
-/// each level in fixed-size groups sharing one fence descent, and sweeps
-/// the level in coalesced blocks — this metric gates that amortization
-/// (group descent + block dedup) against the per-query baseline paths.
+/// resident keys.  The bulk path sorts the queries, then searches each
+/// level in lockstep lane groups; with this many queries every sorted
+/// group is denser than the fence samples, so its lanes share one window
+/// found by two fence descents — this metric gates the sort plus that
+/// dense-group search.
 fn bulk_get_rate(num_queries: usize) -> f64 {
     let device = ci_device();
     let pairs = unique_random_pairs(11 << 13, CI_SEED ^ 0xB6);

@@ -1,9 +1,9 @@
 //! The paper's "PCIe tax" argument, measured: individual `get`s pay a
 //! fixed per-call cost (on real hardware, a PCIe round trip and a kernel
 //! launch; here, dispatch and per-query descent work), while
-//! [`gpu_lsm::GpuLsm::bulk_get`] amortizes it — queries are sorted once,
-//! marched through each level in fixed-size groups sharing one fence
-//! descent, and resolved with a coalesced block sweep.
+//! [`gpu_lsm::GpuLsm::bulk_get`] amortizes it — queries are sorted once
+//! and searched through each level in warp-sized lane groups that take
+//! their probes in lockstep, neighbours sharing fence windows.
 //!
 //! Three questions, three measurements:
 //!
@@ -16,7 +16,7 @@
 //!    smallest batch at which the LSM's bulk path matches each baseline's
 //!    batch-lookup rate at the same size.  Below it, per-call overhead
 //!    (and the baselines' flatter memory layouts) win; above it, the
-//!    shared descents and block dedup do.
+//!    sort and the lockstep lane groups do.
 
 use gpu_baselines::{CuckooHashTable, SortedArray};
 use gpu_lsm::GpuLsm;

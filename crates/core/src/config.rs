@@ -98,8 +98,9 @@ pub struct LsmConfig {
     /// Minimum arena chunk size in `u32` words (`LSM_ARENA_CHUNK`, ≥ 1).
     /// Per instance; default [`crate::arena::DEFAULT_CHUNK_WORDS`].
     pub arena_chunk_words: Option<usize>,
-    /// Group size of the warp-style bulk-get sweep (`LSM_BULK_GROUP`, ≥ 1).
-    /// Per instance; default 64, the paper's warp width times two.
+    /// Lanes per lockstep group of the batched level searches — lookups,
+    /// `bulk_get`, count and range (`LSM_BULK_GROUP`, ≥ 1).  Per instance;
+    /// default 64, the paper's warp width times two.
     pub bulk_group: Option<usize>,
     /// Admission queue capacity per shard (`LSM_ADMIT_QUEUE`).
     pub admit_queue_capacity: Option<usize>,
@@ -362,7 +363,7 @@ impl LsmConfig {
         self
     }
 
-    /// Set the warp-style bulk-get group size (min 1).
+    /// Set the lane-group width of the batched level searches (min 1).
     pub fn bulk_group(mut self, group: usize) -> Self {
         self.bulk_group = Some(group.max(1));
         self

@@ -2,9 +2,10 @@
 //!
 //! The five-stage pipeline of §IV-C:
 //!
-//! 1. **Initial count estimate** — per query and per occupied level, a lower
-//!    bound on `k1` and an upper bound on `k2` give the number of candidate
-//!    elements in that level.
+//! 1. **Initial count estimate** — per query and per occupied level, the
+//!    lower bounds of `k1` and of `k2 + 1` give the number of candidate
+//!    elements in that level; queries search each level together, in
+//!    lockstep lane groups.
 //! 2. **Scanning** — a device-wide exclusive scan over the per-(query,
 //!    level) estimates yields every candidate group's output offset.
 //! 3. **Initial key storage** — candidate encoded keys are gathered into one
@@ -20,7 +21,8 @@ use gpu_primitives::segmented_sort::segmented_sort_pairs_by;
 use gpu_sim::AccessPattern;
 use rayon::prelude::*;
 
-use crate::key::{is_regular, key_less, EncodedKey, Key, Value};
+use crate::key::{is_regular, key_less, EncodedKey, Key, Value, MAX_KEY};
+use crate::level::Level;
 use crate::lsm::GpuLsm;
 
 /// The gathered candidates of a set of interval queries: one contiguous
@@ -63,45 +65,29 @@ impl GpuLsm {
             };
         }
 
-        // Stage 1: per-(query, level) candidate bounds, fence-narrowed (the
-        // level's fence array brackets both binary searches to one ≤ 256
-        // element window each, and its min/max clamp lets disjoint levels
-        // answer (0, 0) with no search at all).  Laid out query-major,
-        // level-minor so each query's groups are contiguous.  Scattered
-        // probes are charged for the searches that actually ran — pairs the
-        // min/max clamp skipped cost nothing, so modelled device time
-        // reflects the pruning win.
-        let probes_done = std::sync::atomic::AtomicU64::new(0);
-        let bounds: Vec<(usize, usize)> = queries
-            .par_iter()
-            .flat_map_iter(|&(k1, k2)| {
-                // Clamp the upper bound into the 31-bit domain (no stored
-                // key can exceed it, and `k2 << 1` would wrap past it).
-                // After the clamp, k1 > k2 covers both genuinely inverted
-                // bounds and a lower bound above the domain — either way
-                // the interval can contain no storable key and is empty
-                // (shifting an out-of-domain k1 would wrap and silently
-                // select everything instead).
-                let k2 = k2.min(crate::key::MAX_KEY);
-                let empty = k1 > k2;
-                let probes_done = &probes_done;
-                levels.iter().map(move |level| {
-                    if empty || !level.interval_intersects(k1, k2) {
-                        return (0, 0);
-                    }
-                    probes_done.fetch_add(
-                        2 * u64::from(level.search_probe_depth()),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                    let lo = level.lower_bound(k1);
-                    let hi = level.upper_bound(k2);
-                    (lo, hi.max(lo))
-                })
+        // Stage 1: per-(query, level) candidate bounds, searched in
+        // lockstep lane groups of `bulk_group_size` queries (see
+        // `group_bounds`).  Laid out query-major, level-minor so each
+        // query's groups are contiguous, and each lane group's bounds too.
+        // Scattered probes are charged for the searches that actually ran
+        // — pairs the min/max clamp skipped cost nothing, so modelled
+        // device time reflects the pruning win.
+        let group = self.bulk_group_size();
+        let mut bounds = vec![(0usize, 0usize); num_queries * num_levels];
+        let mut lane_keys: Vec<Key> = vec![0; num_queries];
+        let mut lane_found: Vec<usize> = vec![0; num_queries];
+        let probes_done: u64 = bounds
+            .par_chunks_mut(group * num_levels)
+            .zip(queries.par_chunks(group))
+            .zip(lane_keys.par_chunks_mut(group))
+            .zip(lane_found.par_chunks_mut(group))
+            .map(|(((bounds, queries), keys), found)| {
+                group_bounds(&levels, queries, bounds, keys, found)
             })
-            .collect();
+            .sum();
         self.device().metrics().record_scattered_probes(
             kernel,
-            probes_done.into_inner(),
+            probes_done,
             std::mem::size_of::<EncodedKey>() as u64,
         );
         let estimates: Vec<u64> = bounds.iter().map(|&(lo, hi)| (hi - lo) as u64).collect();
@@ -164,6 +150,65 @@ impl GpuLsm {
             segment_offsets,
         }
     }
+}
+
+/// Stage 1 for one lane group: the candidate bounds of its queries in
+/// every level, written to `bounds[lane * levels.len() + level]` (`(0, 0)`
+/// stays for intervals that miss the level).  Per level, the lanes whose
+/// interval meets it take two lockstep searches ([`Level::lower_bounds`]):
+/// one of their `k1`s finds the first candidate, one of their `k2 + 1`s
+/// the end of the candidates.  `keys` and `found` are the group's share of
+/// the call's scratch.  Returns the scattered probes to charge: two
+/// fence-narrowed searches per (lane, level) that ran.
+fn group_bounds(
+    levels: &[&Level],
+    queries: &[(Key, Key)],
+    bounds: &mut [(usize, usize)],
+    keys: &mut [Key],
+    found: &mut [usize],
+) -> u64 {
+    let num_levels = levels.len();
+    let mut probes = 0;
+    for (li, level) in levels.iter().enumerate() {
+        // Clamp the upper bound into the 31-bit domain (no stored key can
+        // exceed it, and `k2 + 1` then cannot overflow).  After the clamp,
+        // k1 > k2 covers both genuinely inverted bounds and a lower bound
+        // above the domain — either way the interval can contain no
+        // storable key and is empty.
+        let live = |&(k1, k2): &(Key, Key)| {
+            let k2 = k2.min(MAX_KEY);
+            (k1 <= k2 && level.interval_intersects(k1, k2)).then_some((k1, k2))
+        };
+        let lanes = || {
+            queries
+                .iter()
+                .enumerate()
+                .filter_map(move |(lane, q)| live(q).map(|interval| (lane, interval)))
+        };
+        let mut m = 0;
+        for (_, (k1, _)) in lanes() {
+            keys[m] = k1;
+            m += 1;
+        }
+        if m == 0 {
+            continue;
+        }
+        probes += 2 * m as u64 * u64::from(level.search_probe_depth());
+        level.lower_bounds(&keys[..m], &mut found[..m]);
+        for ((lane, _), &lo) in lanes().zip(found.iter()) {
+            bounds[lane * num_levels + li] = (lo, lo);
+        }
+        for ((_, (_, k2)), key) in lanes().zip(keys.iter_mut()) {
+            *key = k2 + 1;
+        }
+        level.lower_bounds(&keys[..m], &mut found[..m]);
+        for ((lane, _), &hi) in lanes().zip(found.iter()) {
+            let bound = &mut bounds[lane * num_levels + li];
+            debug_assert!(hi >= bound.0, "bounds are monotone in the key");
+            bound.1 = hi;
+        }
+    }
+    probes
 }
 
 /// Stage 5 of the count pipeline: per segment, count key runs whose first

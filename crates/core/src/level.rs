@@ -233,15 +233,14 @@ impl Level {
     }
 
     /// Index of the first element whose original key is `>= query`
-    /// (fence-narrowed; identical to a full-array lower bound).
+    /// (fence-narrowed; identical to a full-array lower bound).  Any `u32`
+    /// query is valid: `MAX_KEY + 1` lands past the last element.
     pub fn lower_bound(&self, query: Key) -> usize {
         let (lo, hi) = match &self.fences {
             Some(f) => f.lower_bound_window(query),
             None => (0, self.keys.len()),
         };
-        lo + gpu_primitives::search::lower_bound_by(&self.keys[lo..hi], &(query << 1), |a, b| {
-            (a >> 1) < (b >> 1)
-        })
+        lo + self.keys[lo..hi].partition_point(|&k| original_key(k) < query)
     }
 
     /// Index of the first element whose original key is `> query`
@@ -251,11 +250,81 @@ impl Level {
             Some(f) => f.upper_bound_window(query),
             None => (0, self.keys.len()),
         };
-        lo + gpu_primitives::search::upper_bound_by(
-            &self.keys[lo..hi],
-            &((query << 1) | 1),
-            |a, b| (a >> 1) < (b >> 1),
-        )
+        lo + self.keys[lo..hi].partition_point(|&k| original_key(k) <= query)
+    }
+
+    /// Lockstep lower bounds for one group of lanes: sets `out[i]` to
+    /// [`Level::lower_bound`]`(queries[i])` for every lane, the way a GPU
+    /// warp searches — every lane takes its next probe in the same round,
+    /// so the rounds' cache misses overlap instead of forming one
+    /// dependent chain per query.  Queries need not be sorted.
+    ///
+    /// First every lane gets a window that provably holds its bound:
+    ///
+    /// * a group at least as dense as the fence samples (its two extreme
+    ///   keys' fence windows span at most `lanes × interval` elements)
+    ///   shares that one span, found with two fence descents;
+    /// * a sparser group gives each lane its own fence window, widened to
+    ///   the fences' widest window so all lanes still share one width.
+    ///
+    /// Then all lanes halve their equal-width windows round by round with
+    /// a branch-free select, the lane's window start living in `out`, so
+    /// the search needs no scratch of its own.
+    pub fn lower_bounds(&self, queries: &[Key], out: &mut [usize]) {
+        debug_assert_eq!(queries.len(), out.len());
+        let keys = self.keys.as_slice();
+        if queries.is_empty() || keys.is_empty() {
+            out.fill(0);
+            return;
+        }
+        // Every lane's bound lies in `[out[i], out[i] + width]`.
+        let mut width = match &self.fences {
+            None => {
+                out.fill(0);
+                keys.len()
+            }
+            Some(f) => {
+                let (lo_q, hi_q) = queries
+                    .iter()
+                    .fold((Key::MAX, 0), |(lo, hi), &q| (lo.min(q), hi.max(q)));
+                let (lo, lo_end) = f.lower_bound_window(lo_q);
+                let hi = if hi_q == lo_q {
+                    lo_end
+                } else {
+                    f.lower_bound_window(hi_q).1
+                };
+                if hi - lo <= queries.len() * f.interval() {
+                    out.fill(lo);
+                    hi - lo
+                } else {
+                    // Widening a window keeps the bound inside it; starting
+                    // no later than `len - width` keeps it inside the array.
+                    let width = f.max_window().min(keys.len());
+                    let last_start = keys.len() - width;
+                    for (start, &q) in out.iter_mut().zip(queries) {
+                        *start = f.lower_bound_window(q).0.min(last_start);
+                    }
+                    width
+                }
+            }
+        };
+        if width == 0 {
+            return;
+        }
+        while width > 1 {
+            let half = width / 2;
+            for (base, &q) in out.iter_mut().zip(queries) {
+                // A conditional move, not a branch: each lane goes either
+                // way with even odds, so a branch would mispredict half
+                // the time.
+                let mid = *base + half;
+                *base = std::hint::select_unpredictable(original_key(keys[mid]) < q, mid, *base);
+            }
+            width -= half;
+        }
+        for (base, &q) in out.iter_mut().zip(queries) {
+            *base += usize::from(original_key(keys[*base]) < q);
+        }
     }
 
     /// Smallest original key resident in the level (tombstones included —
@@ -535,6 +604,81 @@ mod tests {
         }
         assert_eq!(level.min_key(), 0);
         assert_eq!(level.max_key(), origs[origs.len() - 1]);
+    }
+
+    #[test]
+    fn lockstep_lower_bounds_match_lower_bound_lane_by_lane() {
+        use crate::key::{encode_tombstone, MAX_KEY};
+        // Keys 1000, 1003, 1006, ... each stored one to three times, newest
+        // first, with tombstones among the copies; the placebo tombstone at
+        // MAX_KEY ends the level.
+        let mut encoded = Vec::new();
+        for i in 0..20_000u32 {
+            let key = 1000 + 3 * i;
+            for copy in 0..=(i % 3) {
+                encoded.push(if (i + copy) % 4 == 0 {
+                    encode_tombstone(key)
+                } else {
+                    encode_regular(key)
+                });
+            }
+        }
+        encoded.push(encode_tombstone(MAX_KEY));
+        let values = vec![0u32; encoded.len()];
+        let fenced = Level::from_sorted(encoded.clone(), values.clone());
+        let unfenced = Level::from_sorted_with_aux(encoded.clone(), values, None, None);
+        let max = 1000 + 3 * 19_999;
+        let edges = [
+            0,
+            1,
+            999,
+            1000,
+            1001,
+            max,
+            max + 1,
+            MAX_KEY - 1,
+            MAX_KEY,
+            MAX_KEY + 1,
+        ];
+        // Dense: consecutive keys (with edges); sparse: a stride that
+        // spreads any 3 or 64 neighbours across far more than their fence
+        // intervals; unsorted: the sparse batch reversed.
+        let dense: Vec<Key> = edges.iter().copied().chain(5000..9000).collect();
+        let sparse: Vec<Key> = (0..3000u32).map(|i| i * 23 + 400).chain(edges).collect();
+        let unsorted: Vec<Key> = sparse.iter().rev().copied().collect();
+        let interval = fenced.fences().unwrap().interval();
+        let (mut shared, mut per_lane) = (0, 0);
+        for level in [&fenced, &unfenced] {
+            for batch in [&dense, &sparse, &unsorted] {
+                for width in [1, 3, 64, batch.len() + 5] {
+                    for lanes in batch.chunks(width) {
+                        let mut out = vec![usize::MAX; lanes.len()];
+                        level.lower_bounds(lanes, &mut out);
+                        for (&q, &got) in lanes.iter().zip(&out) {
+                            let full = encoded.partition_point(|&k| original_key(k) < q);
+                            assert_eq!(level.lower_bound(q), full, "lower_bound({q})");
+                            assert_eq!(got, full, "lower_bounds lane {q}, width {width}");
+                        }
+                        if let Some(f) = level.fences() {
+                            let lo = f.lower_bound_window(*lanes.iter().min().unwrap()).0;
+                            let hi = f.lower_bound_window(*lanes.iter().max().unwrap()).1;
+                            if hi - lo <= lanes.len() * interval {
+                                shared += 1;
+                            } else {
+                                per_lane += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            shared > 0 && per_lane > 0,
+            "{shared} shared, {per_lane} per-lane"
+        );
+        assert_eq!(fenced.lower_bound(MAX_KEY + 1), encoded.len());
+        // An empty lane set leaves nothing to do.
+        fenced.lower_bounds(&[], &mut []);
     }
 
     #[test]

@@ -1,31 +1,34 @@
 //! Bulk lookup queries.
 //!
 //! Each query is independent (the paper's "individual approach", §IV-B): a
-//! thread walks the occupied levels from the smallest (most recent) to the
+//! query walks the occupied levels from the smallest (most recent) to the
 //! largest, probing each level for the key.  The first element found with a
 //! matching key decides the outcome — a regular element returns its value,
 //! a tombstone means the key was deleted — because the building invariants
 //! of §III-D order equal keys newest-first within a level and newer levels
 //! are searched first.
 //!
-//! ## Query acceleration
+//! ## Lockstep lanes
 //!
-//! Per-level probes are accelerated by the structures every [`Level`]
-//! carries (see [`crate::level`]): a blocked Bloom filter answers
-//! "definitely absent" with a single cache-line read — the common case for
-//! misses, which otherwise pay the full `O(levels · log n)` — and a fence
-//! array narrows the remaining binary searches to one ≤ 256-element window.
-//! Both are conservative, so results are bit-identical to plain searches.
+//! Batches run the way a GPU warp does: queries are cut into groups of
+//! [`GpuLsm::bulk_group_size`] lanes, and each level is one pass over the
+//! groups.  In a pass, a group's undecided lanes are tested against the
+//! level's blocked Bloom filter (one cache-line read each, "definitely
+//! absent" for most misses), and the survivors search the level together
+//! with [`Level::lower_bounds`]: every lane takes its next probe in the
+//! same round, so the rounds' cache misses overlap instead of forming one
+//! dependent chain per query.  Results are bit-identical to the scalar walk
+//! of [`GpuLsm::lookup_one`].
 //!
-//! [`GpuLsm::lookup`] additionally **adapts between the two batch
-//! strategies** the paper compares: below a calibrated query-count
-//! threshold it runs the individual approach; above it, it switches to
-//! [`GpuLsm::lookup_bulk_sorted`], which sorts the queries once and then
-//! streams every level with coalesced accesses — profitable exactly when
-//! the batch is large relative to the structure
-//! (see [`GpuLsm::bulk_lookup_threshold`]).
+//! The two batch engines run these same passes and differ only in the
+//! query sort: [`GpuLsm::lookup_individual`] keeps the callers' order,
+//! while [`GpuLsm::bulk_get`] (and [`GpuLsm::lookup_bulk_sorted`]) sort
+//! first, so neighbouring lanes share fence windows, and then prune levels
+//! outside the batch's key range.  [`GpuLsm::lookup`] picks between them
+//! with a calibrated size threshold (see [`GpuLsm::bulk_lookup_threshold`]).
 //!
 //! [`Level`]: crate::level::Level
+//! [`Level::lower_bounds`]: crate::level::Level::lower_bounds
 
 use std::sync::OnceLock;
 
@@ -34,6 +37,7 @@ use gpu_sim::AccessPattern;
 use rayon::prelude::*;
 
 use crate::key::{is_regular, original_key, Key, Value};
+use crate::level::Level;
 use crate::lsm::GpuLsm;
 
 /// Never dispatch to the bulk sorted path below this many queries: the
@@ -41,10 +45,9 @@ use crate::lsm::GpuLsm;
 /// back, whatever the structure size.
 const MIN_BULK_QUERIES: usize = 256;
 
-/// Default warp-group width for [`GpuLsm::bulk_get`]: sorted queries march
-/// through the levels in groups of this many, sharing one fence descent
-/// and one coalesced block sweep per group — the CPU analogue of a GPU
-/// warp resolving 64 neighbouring needles with shared loads.
+/// Default lane-group width of the batched level searches: queries search
+/// each level in groups of this many lanes, all taking their probes in the
+/// same round — the CPU analogue of a GPU warp.
 const DEFAULT_BULK_GROUP: usize = 64;
 
 /// The lenient `LSM_BULK_GROUP` fallback (strict parsing lives in
@@ -60,8 +63,8 @@ fn bulk_group_from_env() -> Option<usize> {
     })
 }
 
-/// Per-query cost trace of one individual lookup, accumulated into the
-/// device's traffic metrics and the structure's filter counters.
+/// Cost trace of lookups, accumulated into the device's traffic metrics
+/// and the structure's filter counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LookupTrace {
     /// Bloom filter blocks read (one coalesced cache-line read each).
@@ -70,6 +73,77 @@ pub(crate) struct LookupTrace {
     pub filter_skips: u64,
     /// Scattered binary-search probes performed.
     pub search_probes: u64,
+}
+
+impl std::ops::AddAssign for LookupTrace {
+    fn add_assign(&mut self, other: Self) {
+        self.filter_blocks += other.filter_blocks;
+        self.filter_skips += other.filter_skips;
+        self.search_probes += other.search_probes;
+    }
+}
+
+/// What one lane group did in one level's pass.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupPass {
+    /// Filter reads, filter skips and search probes of the pass.
+    trace: LookupTrace,
+    /// When any lane searched: the first searching lane's key and the last
+    /// one's bound (the smallest key and the largest bound in a sorted
+    /// group), from which the bulk engine charges its window.
+    searched: Option<(Key, usize)>,
+}
+
+/// One level's pass over one lane group: filter-test the undecided lanes,
+/// search the survivors in lockstep, decide the lanes whose key the level
+/// holds.  `answers[i]` is `None` while lane `i` is undecided.  The other
+/// three slices are the group's share of the call's scratch (as long as
+/// the group), so a pass never allocates.
+fn lane_pass(
+    level: &Level,
+    queries: &[Key],
+    answers: &mut [Option<Option<Value>>],
+    live_keys: &mut [Key],
+    live_lanes: &mut [u32],
+    bounds: &mut [usize],
+) -> GroupPass {
+    let mut trace = LookupTrace::default();
+    let mut live = 0;
+    for (lane, (&q, answer)) in queries.iter().zip(answers.iter()).enumerate() {
+        if answer.is_some() {
+            continue;
+        }
+        if let Some(filter) = level.filter() {
+            trace.filter_blocks += 1;
+            if !filter.contains(q) {
+                trace.filter_skips += 1;
+                continue;
+            }
+        }
+        live_keys[live] = q;
+        live_lanes[live] = lane as u32;
+        live += 1;
+    }
+    if live == 0 {
+        return GroupPass {
+            trace,
+            searched: None,
+        };
+    }
+    trace.search_probes = live as u64 * u64::from(level.search_probe_depth());
+    let (live_keys, bounds) = (&live_keys[..live], &mut bounds[..live]);
+    level.lower_bounds(live_keys, bounds);
+    let (keys, values) = (level.keys(), level.values());
+    for ((&q, &pos), &lane) in live_keys.iter().zip(bounds.iter()).zip(live_lanes.iter()) {
+        if pos < keys.len() && original_key(keys[pos]) == q {
+            // A tombstone decides the lane too: the key is deleted.
+            answers[lane as usize] = Some(is_regular(keys[pos]).then_some(values[pos]));
+        }
+    }
+    GroupPass {
+        trace,
+        searched: Some((live_keys[0], bounds[live - 1])),
+    }
 }
 
 /// Calibrated per-scattered-probe and per-streamed-element costs (ns),
@@ -143,10 +217,10 @@ impl GpuLsm {
     /// not deleted, `None` otherwise.
     ///
     /// Dispatches adaptively: batches smaller than
-    /// [`GpuLsm::bulk_lookup_threshold`] run the individual per-thread
-    /// binary-search approach ([`GpuLsm::lookup_individual`]); larger
-    /// batches switch to the sorted bulk approach
-    /// ([`GpuLsm::lookup_bulk_sorted`]).  Both return identical results.
+    /// [`GpuLsm::bulk_lookup_threshold`] search in the callers' order
+    /// ([`GpuLsm::lookup_individual`]); larger batches are sorted first
+    /// ([`GpuLsm::lookup_bulk_sorted`]).  Both run the same lane groups and
+    /// return identical results.
     pub fn lookup(&self, queries: &[Key]) -> Vec<Option<Value>> {
         if queries.len() >= self.bulk_lookup_threshold() {
             self.lookup_bulk_sorted(queries)
@@ -201,7 +275,10 @@ impl GpuLsm {
         (((n as f64) * stream_ns / margin) as usize).max(MIN_BULK_QUERIES)
     }
 
-    /// The individual (per-thread binary search) batch lookup.
+    /// The individual batch lookup: the queries, in the callers' order,
+    /// pass through the levels in lockstep lane groups (see the module
+    /// doc).  Charged per query: one coalesced block read per filter
+    /// consulted and the scattered probes of every search that ran.
     pub fn lookup_individual(&self, queries: &[Key]) -> Vec<Option<Value>> {
         let kernel = "lsm_lookup";
         self.op_activity.record_lookups(queries.len() as u64);
@@ -211,23 +288,13 @@ impl GpuLsm {
             std::mem::size_of_val(queries) as u64,
             AccessPattern::Coalesced,
         );
-        let traced: Vec<(Option<Value>, LookupTrace)> =
-            self.device().timer().time("lookup", || {
-                queries
-                    .par_iter()
-                    .map(|&q| self.lookup_one_traced(q))
-                    .collect()
-            });
-        // Traffic accounting from what the batch actually did: every filter
-        // consultation is a single coalesced cache-line block read; only
-        // the searches that survived the filters pay scattered probes.
+        let (results, passes) = self.device().timer().time("lookup", || {
+            let levels: Vec<&Level> = self.levels().iter_occupied().map(|(_, l)| l).collect();
+            self.resolve_lanes(queries, &levels)
+        });
         let mut total = LookupTrace::default();
-        let mut results = Vec::with_capacity(traced.len());
-        for (value, trace) in traced {
-            results.push(value);
-            total.filter_blocks += trace.filter_blocks;
-            total.filter_skips += trace.filter_skips;
-            total.search_probes += trace.search_probes;
+        for pass in &passes {
+            total += pass.trace;
         }
         self.device()
             .metrics()
@@ -241,8 +308,49 @@ impl GpuLsm {
         results
     }
 
-    /// Look up a single key (the per-thread body of the individual batch
-    /// lookup, usable on its own for asynchronous individual queries).
+    /// Resolve `queries` against `levels` (newest first) in lane groups of
+    /// [`GpuLsm::bulk_group_size`], in parallel over the groups.  Each
+    /// group makes one pass per level, a lane decided by a newer level
+    /// never being overwritten.  Also returns every pass, group-major
+    /// (`passes[group * levels.len() + level]`), for the engine's traffic
+    /// accounting.
+    fn resolve_lanes(
+        &self,
+        queries: &[Key],
+        levels: &[&Level],
+    ) -> (Vec<Option<Value>>, Vec<GroupPass>) {
+        let n = queries.len();
+        if levels.is_empty() {
+            return (vec![None; n], Vec::new());
+        }
+        let group = self.bulk_group_size();
+        let mut answers: Vec<Option<Option<Value>>> = vec![None; n];
+        // Scratch for the whole call, cut into one chunk per group.
+        let mut live_keys: Vec<Key> = vec![0; n];
+        let mut live_lanes: Vec<u32> = vec![0; n];
+        let mut bounds: Vec<usize> = vec![0; n];
+        let mut passes = vec![GroupPass::default(); n.div_ceil(group) * levels.len()];
+        answers
+            .par_chunks_mut(group)
+            .zip(queries.par_chunks(group))
+            .zip(live_keys.par_chunks_mut(group))
+            .zip(live_lanes.par_chunks_mut(group))
+            .zip(bounds.par_chunks_mut(group))
+            .zip(passes.par_chunks_mut(levels.len()))
+            .for_each(
+                |(((((answers, queries), live_keys), live_lanes), bounds), passes)| {
+                    for (level, pass) in levels.iter().zip(passes) {
+                        *pass = lane_pass(level, queries, answers, live_keys, live_lanes, bounds);
+                    }
+                },
+            );
+        let results = answers.into_iter().map(Option::flatten).collect();
+        (results, passes)
+    }
+
+    /// Look up a single key with a scalar walk of the levels, usable on its
+    /// own for asynchronous individual queries (and the reference the
+    /// batch engines are tested against).
     pub fn lookup_one(&self, query: Key) -> Option<Value> {
         let (value, trace) = self.lookup_one_traced(query);
         self.record_filter_activity(trace.filter_blocks, trace.filter_skips);
@@ -279,18 +387,18 @@ impl GpuLsm {
     }
 
     /// The paper's *bulk* lookup alternative (§IV-B): sort all queries once,
-    /// then resolve them against every occupied level with warp-style
-    /// grouped sweeps instead of per-query binary searches.
+    /// then resolve them with the same lane-group passes as
+    /// [`GpuLsm::lookup_individual`].
     ///
     /// Returns results in the original query order, identical to
     /// [`GpuLsm::lookup`].  The trade-off it exists to expose: the query
-    /// sort is an extra bulk pass, but each level is then swept with
-    /// coalesced accesses rather than probed randomly — profitable when
-    /// there are many queries relative to the structure size, which is
-    /// exactly when [`GpuLsm::lookup`] dispatches here.
+    /// sort is an extra bulk pass, but sorted neighbours then share fence
+    /// windows and touch each level's key blocks in ascending order —
+    /// profitable when there are many queries relative to the structure
+    /// size, which is exactly when [`GpuLsm::lookup`] dispatches here.
     ///
     /// This is [`GpuLsm::bulk_get`] under its historical name and kernel
-    /// label; both run the same grouped execution.
+    /// label.
     pub fn lookup_bulk_sorted(&self, queries: &[Key]) -> Vec<Option<Value>> {
         self.bulk_get_with_kernel(queries, "lsm_lookup_bulk", "lookup_bulk")
     }
@@ -299,31 +407,28 @@ impl GpuLsm {
     /// issuing GPU queries one at a time: amortise the launch over a large
     /// batch and resolve it with *shared* work per warp-sized group.
     ///
-    /// The batch is sorted once; fixed-size groups of
-    /// [`GpuLsm::bulk_group_size`] neighbouring queries then march through
-    /// each occupied level **together**:
+    /// The batch is sorted once, levels disjoint from its key range are
+    /// skipped, and groups of [`GpuLsm::bulk_group_size`] neighbouring
+    /// queries then pass through each remaining level in lockstep (see the
+    /// module doc): undecided lanes test the level's Bloom filter, and the
+    /// survivors search together with [`Level::lower_bounds`].  A sorted
+    /// group that is at least as dense as the fence samples shares one
+    /// window found by two fence descents; a sparser one gives each lane
+    /// its own fence window.
     ///
-    /// 1. **Shared fence descent** — two Eytzinger descents per group (its
-    ///    smallest and largest undecided key) bracket every member's lower
-    ///    bound in one combined window, instead of one descent per query.
-    /// 2. **Coalesced block sweep** — the group resolves its members with a
-    ///    monotone cursor over that window, so the level's key blocks are
-    ///    touched once each, in order, and are charged as coalesced block
-    ///    reads (deduplicated across overlapping groups) rather than
-    ///    scattered probes.
-    ///
-    /// Levels carrying a Bloom filter keep the **filter-aware pre-pass**:
-    /// still-undecided needles are tested first (one coalesced block read
-    /// each) and only survivors join the sweep, so a mostly-missing batch
-    /// skips whole levels.  Results are bit-identical to
+    /// The device model charges each group's pass as the GPU would run
+    /// it: two scattered fence descents plus a cooperative, coalesced load
+    /// of the window from its fence start through the group's last answer
+    /// (blocks shared by neighbouring groups charged once), next to one
+    /// block read per filter consulted.  Results are bit-identical to
     /// [`GpuLsm::lookup`], in the original query order.
     pub fn bulk_get(&self, queries: &[Key]) -> Vec<Option<Value>> {
         self.bulk_get_with_kernel(queries, "lsm_bulk_get", "bulk_get")
     }
 
-    /// The warp-group width [`GpuLsm::bulk_get`] marches with: the
-    /// per-instance config override when set, else `LSM_BULK_GROUP`, else
-    /// the built-in default of 64.
+    /// The lane-group width of every batched level search (`bulk_get`,
+    /// `lookup`, count and range): the per-instance config override when
+    /// set, else `LSM_BULK_GROUP`, else the built-in default of 64.
     pub fn bulk_group_size(&self) -> usize {
         self.bulk_group
             .or_else(bulk_group_from_env)
@@ -332,7 +437,7 @@ impl GpuLsm {
     }
 
     /// Shared body of [`GpuLsm::bulk_get`] / [`GpuLsm::lookup_bulk_sorted`]:
-    /// sort, resolve with warp-style groups, scatter back.
+    /// sort, resolve in lane groups, scatter back.
     fn bulk_get_with_kernel(
         &self,
         queries: &[Key],
@@ -353,7 +458,7 @@ impl GpuLsm {
                 &mut sorted_queries,
                 &mut positions,
             );
-            let sorted_results = self.resolve_sorted_warp(kernel, &sorted_queries);
+            let sorted_results = self.resolve_sorted(kernel, &sorted_queries);
             // Scatter back to the callers' query order.
             let mut results: Vec<Option<Value>> = vec![None; queries.len()];
             for (sorted_idx, &original) in positions.iter().enumerate() {
@@ -363,134 +468,56 @@ impl GpuLsm {
         })
     }
 
-    /// Resolve an already-sorted query batch against every occupied level
-    /// with warp-style groups, returning results in *sorted* order.
-    ///
-    /// Results and decisions are tracked in sorted query order so every
-    /// per-level pass is a perfectly aligned zip over fixed group chunks —
-    /// embarrassingly parallel over the vendored pool.  A query decided by
-    /// a newer level is never overwritten (newest-level-wins).
-    fn resolve_sorted_warp(
-        &self,
-        kernel: &'static str,
-        sorted_queries: &[Key],
-    ) -> Vec<Option<Value>> {
-        let n = sorted_queries.len();
-        let group = self.bulk_group_size();
+    /// Resolve an already-sorted query batch, returning results in
+    /// *sorted* order, and charge its traffic the bulk engine's way (see
+    /// [`GpuLsm::bulk_get`]).
+    fn resolve_sorted(&self, kernel: &'static str, sorted_queries: &[Key]) -> Vec<Option<Value>> {
         let word = std::mem::size_of::<Key>() as u64;
-        let mut sorted_results: Vec<Option<Value>> = vec![None; n];
-        let mut decided: Vec<bool> = vec![false; n];
-        let (lo_q, hi_q) = (sorted_queries[0], sorted_queries[n - 1]);
-        let mut filter_blocks = 0u64;
-        let mut filter_skips = 0u64;
-        let mut swept_blocks = 0u64;
+        let (lo_q, hi_q) = (sorted_queries[0], sorted_queries[sorted_queries.len() - 1]);
+        // Fence min/max pruning: a level whose key range is disjoint from
+        // the whole (sorted) query range cannot decide anything.
+        let levels: Vec<&Level> = self
+            .levels()
+            .iter_occupied()
+            .map(|(_, l)| l)
+            .filter(|l| l.max_key() >= lo_q && l.min_key() <= hi_q)
+            .collect();
+        let (results, passes) = self.resolve_lanes(sorted_queries, &levels);
+        let mut filter = LookupTrace::default();
+        let mut window_blocks = 0u64;
         let mut fence_descents = 0u64;
-        for (_, level) in self.levels().iter_occupied() {
-            // Fence min/max pruning: a level whose key range is disjoint
-            // from the whole (sorted) query range cannot decide anything.
-            if level.max_key() < lo_q || level.min_key() > hi_q {
-                continue;
-            }
-            let keys = level.keys();
-            let values = level.values();
-            // Filter-aware pre-pass: test every still-undecided needle
-            // against the level's Bloom filter (one coalesced block read
-            // each); only survivors join the sweep.  The filter is
-            // conservative, so dropped needles provably have no match here.
-            let has_filter = level.filter().is_some();
-            let pass: Vec<bool> = match level.filter() {
-                Some(filter) => sorted_queries
-                    .par_iter()
-                    .zip(decided.par_iter())
-                    .map(|(&q, &done)| !done && filter.contains(q))
-                    .collect(),
-                None => decided.iter().map(|&done| !done).collect(),
-            };
-            if has_filter {
-                for (qi, &p) in pass.iter().enumerate() {
-                    if decided[qi] {
-                        continue;
-                    }
-                    filter_blocks += 1;
-                    if !p {
-                        filter_skips += 1;
-                    }
-                }
-            }
-            // Warp-style march: each fixed group of neighbouring sorted
-            // queries shares two fence descents (group min/max) and sweeps
-            // the combined window with one monotone cursor.  Groups cover
-            // disjoint query ranges, so they resolve in parallel; each
-            // returns the half-open block range its sweep touched.
-            let touched: Vec<Option<(u64, u64)>> = sorted_results
-                .par_chunks_mut(group)
-                .zip(decided.par_chunks_mut(group))
-                .zip(sorted_queries.par_chunks(group))
-                .zip(pass.par_chunks(group))
-                .map(|(((results, decided), queries), pass)| {
-                    let first = pass.iter().position(|&p| p)?;
-                    let last = pass.iter().rposition(|&p| p).unwrap_or(first);
-                    // Shared descent: the two group extremes bracket every
-                    // member's lower bound (bounds are monotone in the key).
-                    let (win_lo, win_hi) = match level.fences() {
-                        Some(f) => (
-                            f.lower_bound_window(queries[first]).0,
-                            f.lower_bound_window(queries[last]).1,
-                        ),
-                        None => (0, keys.len()),
-                    };
-                    // Coalesced sweep: the cursor only moves forward, so the
-                    // group touches each key block of its window once.
-                    let mut cursor = win_lo;
-                    let mut touched_hi = win_lo;
-                    for i in first..=last {
-                        if !pass[i] {
-                            continue;
-                        }
-                        let q = queries[i];
-                        cursor += keys[cursor..win_hi].partition_point(|&k| (k >> 1) < q);
-                        touched_hi = touched_hi.max((cursor + 1).min(keys.len()));
-                        if cursor < keys.len() && original_key(keys[cursor]) == q {
-                            decided[i] = true;
-                            results[i] = if is_regular(keys[cursor]) {
-                                Some(values[cursor])
-                            } else {
-                                None
-                            };
-                        }
-                    }
-                    let b_lo = win_lo as u64 * word / BLOCK_BYTES as u64;
-                    let b_hi = (touched_hi.max(win_lo + 1) as u64 * word - 1) / BLOCK_BYTES as u64;
-                    Some((b_lo, b_hi))
-                })
-                .collect();
-            // Charge the sweeps as deduplicated coalesced block reads:
-            // group windows ascend with the sorted queries, so a running
-            // high-water mark removes the overlap between neighbours
-            // exactly.
+        for (li, level) in levels.iter().enumerate() {
+            // Group windows ascend with the sorted queries, so a running
+            // high-water mark removes the overlap between neighbours.
             let mut charged_through: Option<u64> = None;
-            for (b_lo, b_hi) in touched.into_iter().flatten() {
+            for pass in passes.iter().skip(li).step_by(levels.len()) {
+                filter.filter_blocks += pass.trace.filter_blocks;
+                filter.filter_skips += pass.trace.filter_skips;
+                let Some((first, last_bound)) = pass.searched else {
+                    continue;
+                };
                 fence_descents += 2;
+                let win_lo = level.fences().map_or(0, |f| f.lower_bound_window(first).0);
+                let touched_hi = win_lo.max((last_bound + 1).min(level.len()));
+                let b_lo = win_lo as u64 * word / BLOCK_BYTES as u64;
+                let b_hi = (touched_hi.max(win_lo + 1) as u64 * word - 1) / BLOCK_BYTES as u64;
                 let from = charged_through.map_or(b_lo, |c| b_lo.max(c + 1));
                 if b_hi >= from {
-                    swept_blocks += b_hi - from + 1;
+                    window_blocks += b_hi - from + 1;
                 }
                 charged_through = Some(charged_through.map_or(b_hi, |c| c.max(b_hi)));
             }
         }
-        // Each filter consultation and each swept key block is one
-        // coalesced cache-line read; only the per-group fence descents are
-        // scattered.
         self.device().metrics().record_block_reads(
             kernel,
-            filter_blocks + swept_blocks,
+            filter.filter_blocks + window_blocks,
             BLOCK_BYTES as u64,
         );
         self.device()
             .metrics()
             .record_scattered_probes(kernel, fence_descents, word);
-        self.record_filter_activity(filter_blocks, filter_skips);
-        sorted_results
+        self.record_filter_activity(filter.filter_blocks, filter.filter_skips);
+        results
     }
 }
 
@@ -685,18 +712,20 @@ mod tests {
             // Hits, misses, duplicates and out-of-range probes together.
             let mut queries: Vec<u32> = (0..1500).map(|i| (i * 13) % 1400).collect();
             queries.extend([0, 0, 7, 7, 7, 5000]);
-            assert_eq!(lsm.bulk_get(&queries), lsm.lookup_individual(&queries));
-            assert_eq!(
-                lsm.lookup_bulk_sorted(&queries),
-                lsm.lookup_individual(&queries)
-            );
+            // Every batch engine runs the lane kernel; the scalar walk of
+            // `lookup_one` is the independent reference for all of them.
+            let reference: Vec<Option<u32>> = queries.iter().map(|&q| lsm.lookup_one(q)).collect();
+            assert_eq!(lsm.bulk_get(&queries), reference, "bulk_get, group {group}");
+            assert_eq!(lsm.lookup_individual(&queries), reference, "group {group}");
+            assert_eq!(lsm.lookup_bulk_sorted(&queries), reference, "group {group}");
         }
     }
 
     #[test]
     fn bulk_get_charges_coalesced_sweeps() {
-        // A single large level with fences: the grouped sweep must charge
-        // block reads on its kernel and still answer exactly.
+        // A single large level with fences: the lane groups must charge
+        // their window loads as block reads on the kernel and still answer
+        // exactly.
         let pairs: Vec<(u32, u32)> = (0..8192u32).map(|k| (k * 3, k)).collect();
         let lsm = GpuLsm::bulk_build(device(), 1 << 13, &pairs).unwrap();
         let queries: Vec<u32> = (0..4096u32).map(|i| i * 6).collect(); // half hit
@@ -708,7 +737,7 @@ mod tests {
             .expect("bulk_get kernel traffic");
         assert!(
             traffic.coalesced_read_bytes > 0,
-            "grouped sweep must charge coalesced block reads"
+            "lane groups must charge coalesced block reads"
         );
         // Empty batches and empty structures short-circuit.
         assert!(lsm.bulk_get(&[]).is_empty());
@@ -722,6 +751,37 @@ mod tests {
         lsm.insert(&[(1, 1)]).unwrap();
         let _ = lsm.lookup_individual(&[1, 2, 3]);
         assert!(lsm.device().metrics().snapshot().contains_key("lsm_lookup"));
+
+        // The lane engine books exactly what one scalar walk per query
+        // books: a block read per filter consulted, the probe depth of
+        // every search that ran.  Levels 0, 1 and 3, the larger two with
+        // filters; hits, misses and keys past the end.
+        let pairs: Vec<(u32, u32)> = (0..11 * 512u32).map(|k| (k * 4, k)).collect();
+        let lsm = GpuLsm::bulk_build(device(), 512, &pairs).unwrap();
+        let queries: Vec<u32> = (0..3000u32).map(|i| i * 9).collect();
+        let mut walk = super::LookupTrace::default();
+        for &q in &queries {
+            walk += lsm.lookup_one_traced(q).1;
+        }
+        let traffic = |lsm: &GpuLsm| {
+            let snapshot = lsm.device().metrics().snapshot();
+            snapshot.get("lsm_lookup").copied().unwrap_or_default()
+        };
+        let (before, stats_before) = (traffic(&lsm), lsm.stats());
+        let _ = lsm.lookup_individual(&queries);
+        let (after, stats_after) = (traffic(&lsm), lsm.stats());
+        assert_eq!(
+            after.scattered_transactions - before.scattered_transactions,
+            walk.search_probes
+        );
+        assert_eq!(
+            after.coalesced_read_bytes - before.coalesced_read_bytes,
+            4 * queries.len() as u64 + walk.filter_blocks * super::BLOCK_BYTES as u64
+        );
+        assert_eq!(
+            stats_after.filter_skips - stats_before.filter_skips,
+            walk.filter_skips
+        );
     }
 
     #[test]

@@ -835,8 +835,8 @@ impl ShardedLsm {
 
     /// Warp-style bulk lookups: routed to the owning shards, executed per
     /// shard in parallel through [`GpuLsm::bulk_get`] (each shard sorts its
-    /// sub-batch and marches it in warp-sized groups), reassembled in input
-    /// order.  Results are identical to [`ShardedLsm::lookup`].
+    /// sub-batch and searches it in warp-sized lane groups), reassembled in
+    /// input order.  Results are identical to [`ShardedLsm::lookup`].
     pub fn bulk_get(&self, queries: &[Key]) -> Vec<Option<Value>> {
         let table = self.table_snapshot();
         let parts = table.router.split_lookups(queries);
