@@ -7,6 +7,10 @@
 //!   sorted-array baseline (the two update strategies §V-A mentions).
 //! * **Key-only versus key–value merges**: the cost of moving values along
 //!   with their keys in the LSM's carry chain.
+//! * **Individual versus bulk lookups** (paper §IV-B): `GpuLsm::lookup`
+//!   searches the batch in the callers' order, `GpuLsm::bulk_get` sorts it
+//!   first; both run the same lockstep lane groups, so the pair isolates
+//!   what the query sort costs and what it buys.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_baselines::SortedArray;
@@ -117,8 +121,9 @@ fn bench_keys_vs_pairs_merge(c: &mut Criterion) {
     group.finish();
 }
 
-/// Individual (per-thread binary search) versus bulk (sort queries + sorted
-/// search) lookups — the two strategies §IV-B weighs against each other.
+/// Individual (callers' order) versus bulk (sort the queries first)
+/// lookups — the two strategies §IV-B weighs against each other, one
+/// engine per call.
 fn bench_individual_vs_bulk_lookup(c: &mut Criterion) {
     use gpu_lsm::GpuLsm;
     let pairs = unique_random_pairs(N, 9);
@@ -136,9 +141,7 @@ fn bench_individual_vs_bulk_lookup(c: &mut Criterion) {
     group.bench_function("individual_binary_search", |b| {
         b.iter(|| lsm.lookup(&queries))
     });
-    group.bench_function("bulk_sorted_search", |b| {
-        b.iter(|| lsm.lookup_bulk_sorted(&queries))
-    });
+    group.bench_function("bulk_sorted_search", |b| b.iter(|| lsm.bulk_get(&queries)));
     group.finish();
 }
 

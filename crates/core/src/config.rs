@@ -9,9 +9,8 @@
 //!
 //! Scope of each knob:
 //!
-//! * `bulk_lookup_frac`, admission knobs and `rebalance` are **per
-//!   instance**: they only affect the structure constructed with this
-//!   config.
+//! * the arena, admission and `rebalance` knobs are **per instance**:
+//!   they only affect the structure constructed with this config.
 //! * `bloom_bits` and `par_cutoff` are **process-wide**: the Bloom filter
 //!   sizing and the parallel-dispatch cutoff live in global calibration
 //!   state shared by every LSM in the process.  Constructing a structure
@@ -73,7 +72,6 @@ impl Default for RebalanceConfig {
 /// use gpu_lsm::{LsmConfig, RebalanceConfig};
 ///
 /// let config = LsmConfig::default()
-///     .bulk_lookup_frac(0.25)
 ///     .admit_queue_capacity(32)
 ///     .rebalance(RebalanceConfig {
 ///         enabled: true,
@@ -89,19 +87,12 @@ pub struct LsmConfig {
     /// Sequential cutoff for the worker pool (`LSM_PAR_CUTOFF`); inputs
     /// shorter than this run sequentially.  **Process-wide**.
     pub par_cutoff: Option<usize>,
-    /// Fraction of resident elements above which a lookup batch dispatches
-    /// to the bulk sorted path (`LSM_BULK_LOOKUP_FRAC`).  Per instance.
-    pub bulk_lookup_frac: Option<f64>,
     /// Whether level storage lives in the per-structure slab arena
     /// (`LSM_ARENA`; 0 disables).  Per instance; default on.
     pub arena: Option<bool>,
     /// Minimum arena chunk size in `u32` words (`LSM_ARENA_CHUNK`, ≥ 1).
     /// Per instance; default [`crate::arena::DEFAULT_CHUNK_WORDS`].
     pub arena_chunk_words: Option<usize>,
-    /// Lanes per lockstep group of the batched level searches — lookups,
-    /// `bulk_get`, count and range (`LSM_BULK_GROUP`, ≥ 1).  Per instance;
-    /// default 64, the paper's warp width times two.
-    pub bulk_group: Option<usize>,
     /// Admission queue capacity per shard (`LSM_ADMIT_QUEUE`).
     pub admit_queue_capacity: Option<usize>,
     /// Whether the admission applier coalesces queued batches
@@ -140,10 +131,8 @@ impl LsmConfig {
     /// |---|---|
     /// | `bloom_bits` | `LSM_BLOOM_BITS` |
     /// | `par_cutoff` | `LSM_PAR_CUTOFF` |
-    /// | `bulk_lookup_frac` | `LSM_BULK_LOOKUP_FRAC` (must be > 0) |
     /// | `arena` | `LSM_ARENA` (0 = off) |
     /// | `arena_chunk_words` | `LSM_ARENA_CHUNK` (words, ≥ 1) |
-    /// | `bulk_group` | `LSM_BULK_GROUP` (queries per group, ≥ 1) |
     /// | `admit_queue_capacity` | `LSM_ADMIT_QUEUE` (must be ≥ 1) |
     /// | `admit_coalesce` | `LSM_ADMIT_COALESCE` (0 = off) |
     /// | `submit_timeout` | `LSM_SUBMIT_TIMEOUT_MS` (ms, ≥ 1) |
@@ -193,31 +182,12 @@ impl LsmConfig {
             }
         }
 
-        let bulk_lookup_frac =
-            parse::<f64>("LSM_BULK_LOOKUP_FRAC", lookup("LSM_BULK_LOOKUP_FRAC")?)?;
-        if let Some(f) = bulk_lookup_frac {
-            if !f.is_finite() || f <= 0.0 {
-                return Err(reject(
-                    "LSM_BULK_LOOKUP_FRAC",
-                    f,
-                    "must be a finite fraction > 0",
-                ));
-            }
-        }
         let arena_chunk_words = parse::<usize>("LSM_ARENA_CHUNK", lookup("LSM_ARENA_CHUNK")?)?;
         if arena_chunk_words == Some(0) {
             return Err(reject(
                 "LSM_ARENA_CHUNK",
                 0,
                 "chunk size must be at least 1 word (unset the variable for the default)",
-            ));
-        }
-        let bulk_group = parse::<usize>("LSM_BULK_GROUP", lookup("LSM_BULK_GROUP")?)?;
-        if bulk_group == Some(0) {
-            return Err(reject(
-                "LSM_BULK_GROUP",
-                0,
-                "group size must be at least 1 query",
             ));
         }
         let admit_queue_capacity = parse::<usize>("LSM_ADMIT_QUEUE", lookup("LSM_ADMIT_QUEUE")?)?;
@@ -319,10 +289,8 @@ impl LsmConfig {
         Ok(LsmConfig {
             bloom_bits: parse("LSM_BLOOM_BITS", lookup("LSM_BLOOM_BITS")?)?,
             par_cutoff: parse("LSM_PAR_CUTOFF", lookup("LSM_PAR_CUTOFF")?)?,
-            bulk_lookup_frac,
             arena: parse::<u32>("LSM_ARENA", lookup("LSM_ARENA")?)?.map(|v| v != 0),
             arena_chunk_words,
-            bulk_group,
             admit_queue_capacity,
             admit_coalesce: parse::<u32>("LSM_ADMIT_COALESCE", lookup("LSM_ADMIT_COALESCE")?)?
                 .map(|v| v != 0),
@@ -345,12 +313,6 @@ impl LsmConfig {
         self
     }
 
-    /// Set the bulk-lookup dispatch fraction for this instance.
-    pub fn bulk_lookup_frac(mut self, frac: f64) -> Self {
-        self.bulk_lookup_frac = Some(frac);
-        self
-    }
-
     /// Enable or disable slab-arena level storage for this instance.
     pub fn arena(mut self, enabled: bool) -> Self {
         self.arena = Some(enabled);
@@ -360,12 +322,6 @@ impl LsmConfig {
     /// Set the minimum arena chunk size in `u32` words (min 1).
     pub fn arena_chunk_words(mut self, words: usize) -> Self {
         self.arena_chunk_words = Some(words.max(1));
-        self
-    }
-
-    /// Set the lane-group width of the batched level searches (min 1).
-    pub fn bulk_group(mut self, group: usize) -> Self {
-        self.bulk_group = Some(group.max(1));
         self
     }
 
@@ -450,7 +406,6 @@ mod tests {
         let c = LsmConfig::default();
         assert_eq!(c.bloom_bits, None);
         assert_eq!(c.par_cutoff, None);
-        assert_eq!(c.bulk_lookup_frac, None);
         assert_eq!(c.admit_queue_capacity, None);
         assert_eq!(c.admit_coalesce, None);
         assert!(!c.rebalance.enabled);
@@ -464,10 +419,8 @@ mod tests {
         let c = LsmConfig::default()
             .bloom_bits(8)
             .par_cutoff(1)
-            .bulk_lookup_frac(0.5)
             .arena(true)
             .arena_chunk_words(0) // clamped to 1
-            .bulk_group(0) // clamped to 1
             .admit_queue_capacity(0) // clamped to 1
             .admit_coalesce(false)
             .rebalance(RebalanceConfig {
@@ -477,10 +430,8 @@ mod tests {
             });
         assert_eq!(c.bloom_bits, Some(8));
         assert_eq!(c.par_cutoff, Some(1));
-        assert_eq!(c.bulk_lookup_frac, Some(0.5));
         assert_eq!(c.arena, Some(true));
         assert_eq!(c.arena_chunk_words, Some(1));
-        assert_eq!(c.bulk_group, Some(1));
         assert_eq!(c.admit_queue_capacity, Some(1));
         assert_eq!(c.admit_coalesce, Some(false));
         assert!(c.rebalance.enabled);
@@ -506,10 +457,8 @@ mod tests {
         let c = LsmConfig::from_env_lookup(env_of(&[
             ("LSM_BLOOM_BITS", "8"),
             ("LSM_PAR_CUTOFF", " 64 "),
-            ("LSM_BULK_LOOKUP_FRAC", "0.25"),
             ("LSM_ARENA", "0"),
             ("LSM_ARENA_CHUNK", "4096"),
-            ("LSM_BULK_GROUP", " 128 "),
             ("LSM_ADMIT_QUEUE", "32"),
             ("LSM_ADMIT_COALESCE", "0"),
             ("LSM_SUBMIT_TIMEOUT_MS", "250"),
@@ -522,10 +471,8 @@ mod tests {
         .unwrap();
         assert_eq!(c.bloom_bits, Some(8));
         assert_eq!(c.par_cutoff, Some(64));
-        assert_eq!(c.bulk_lookup_frac, Some(0.25));
         assert_eq!(c.arena, Some(false));
         assert_eq!(c.arena_chunk_words, Some(4096));
-        assert_eq!(c.bulk_group, Some(128));
         assert_eq!(c.admit_queue_capacity, Some(32));
         assert_eq!(c.admit_coalesce, Some(false));
         assert_eq!(c.submit_timeout, Some(Duration::from_millis(250)));
@@ -574,10 +521,8 @@ mod tests {
         for (var, bad) in [
             ("LSM_BLOOM_BITS", "eight"),
             ("LSM_PAR_CUTOFF", "-1"),
-            ("LSM_BULK_LOOKUP_FRAC", "zero.five"),
             ("LSM_ARENA", "yes"),
             ("LSM_ARENA_CHUNK", "1MB"),
-            ("LSM_BULK_GROUP", "warp"),
             ("LSM_ADMIT_COALESCE", "off"),
             ("LSM_SUBMIT_TIMEOUT_MS", "fast"),
             ("LSM_FLUSH_TIMEOUT_MS", "1.5"),
@@ -599,11 +544,7 @@ mod tests {
     #[test]
     fn from_env_rejects_nonsensical_settings() {
         for (var, bad) in [
-            ("LSM_BULK_LOOKUP_FRAC", "0"),
-            ("LSM_BULK_LOOKUP_FRAC", "-0.5"),
-            ("LSM_BULK_LOOKUP_FRAC", "inf"),
             ("LSM_ARENA_CHUNK", "0"),
-            ("LSM_BULK_GROUP", "0"),
             ("LSM_ADMIT_QUEUE", "0"),
             ("LSM_SUBMIT_TIMEOUT_MS", "0"),
             ("LSM_FLUSH_TIMEOUT_MS", "0"),

@@ -23,6 +23,7 @@ use rayon::prelude::*;
 
 use crate::key::{is_regular, key_less, EncodedKey, Key, Value, MAX_KEY};
 use crate::level::Level;
+use crate::lookup::LANE_GROUP;
 use crate::lsm::GpuLsm;
 
 /// The gathered candidates of a set of interval queries: one contiguous
@@ -66,21 +67,20 @@ impl GpuLsm {
         }
 
         // Stage 1: per-(query, level) candidate bounds, searched in
-        // lockstep lane groups of `bulk_group_size` queries (see
+        // lockstep lane groups of `LANE_GROUP` queries (see
         // `group_bounds`).  Laid out query-major, level-minor so each
         // query's groups are contiguous, and each lane group's bounds too.
         // Scattered probes are charged for the searches that actually ran
         // — pairs the min/max clamp skipped cost nothing, so modelled
         // device time reflects the pruning win.
-        let group = self.bulk_group_size();
         let mut bounds = vec![(0usize, 0usize); num_queries * num_levels];
         let mut lane_keys: Vec<Key> = vec![0; num_queries];
         let mut lane_found: Vec<usize> = vec![0; num_queries];
         let probes_done: u64 = bounds
-            .par_chunks_mut(group * num_levels)
-            .zip(queries.par_chunks(group))
-            .zip(lane_keys.par_chunks_mut(group))
-            .zip(lane_found.par_chunks_mut(group))
+            .par_chunks_mut(LANE_GROUP * num_levels)
+            .zip(queries.par_chunks(LANE_GROUP))
+            .zip(lane_keys.par_chunks_mut(LANE_GROUP))
+            .zip(lane_found.par_chunks_mut(LANE_GROUP))
             .map(|(((bounds, queries), keys), found)| {
                 group_bounds(&levels, queries, bounds, keys, found)
             })

@@ -11,26 +11,23 @@
 //! ## Lockstep lanes
 //!
 //! Batches run the way a GPU warp does: queries are cut into groups of
-//! [`GpuLsm::bulk_group_size`] lanes, and each level is one pass over the
-//! groups.  In a pass, a group's undecided lanes are tested against the
-//! level's blocked Bloom filter (one cache-line read each, "definitely
-//! absent" for most misses), and the survivors search the level together
-//! with [`Level::lower_bounds`]: every lane takes its next probe in the
-//! same round, so the rounds' cache misses overlap instead of forming one
+//! `LANE_GROUP` lanes, and each level is one pass over the groups.  In a
+//! pass, a group's undecided lanes are tested against the level's blocked
+//! Bloom filter (one cache-line read each, "definitely absent" for most
+//! misses), and the survivors search the level together with
+//! [`Level::lower_bounds`]: every lane takes its next probe in the same
+//! round, so the rounds' cache misses overlap instead of forming one
 //! dependent chain per query.  Results are bit-identical to the scalar walk
 //! of [`GpuLsm::lookup_one`].
 //!
-//! The two batch engines run these same passes and differ only in the
-//! query sort: [`GpuLsm::lookup_individual`] keeps the callers' order,
-//! while [`GpuLsm::bulk_get`] (and [`GpuLsm::lookup_bulk_sorted`]) sort
-//! first, so neighbouring lanes share fence windows, and then prune levels
-//! outside the batch's key range.  [`GpuLsm::lookup`] picks between them
-//! with a calibrated size threshold (see [`GpuLsm::bulk_lookup_threshold`]).
+//! The call names the engine, and nothing chooses between them at run
+//! time.  Both run these same passes and differ only in the query sort:
+//! [`GpuLsm::lookup`] keeps the callers' order, while [`GpuLsm::bulk_get`]
+//! sorts first, so neighbouring lanes share fence windows, and then prunes
+//! levels outside the batch's key range.
 //!
 //! [`Level`]: crate::level::Level
 //! [`Level::lower_bounds`]: crate::level::Level::lower_bounds
-
-use std::sync::OnceLock;
 
 use gpu_primitives::filter::BLOCK_BYTES;
 use gpu_sim::AccessPattern;
@@ -40,28 +37,11 @@ use crate::key::{is_regular, original_key, Key, Value};
 use crate::level::Level;
 use crate::lsm::GpuLsm;
 
-/// Never dispatch to the bulk sorted path below this many queries: the
-/// query sort has a fixed per-launch cost that tiny batches cannot win
-/// back, whatever the structure size.
-const MIN_BULK_QUERIES: usize = 256;
-
-/// Default lane-group width of the batched level searches: queries search
-/// each level in groups of this many lanes, all taking their probes in the
-/// same round — the CPU analogue of a GPU warp.
-const DEFAULT_BULK_GROUP: usize = 64;
-
-/// The lenient `LSM_BULK_GROUP` fallback (strict parsing lives in
-/// [`crate::config::LsmConfig::from_env`]): unparsable or zero values are
-/// ignored here so ad-hoc shells cannot poison the default.
-fn bulk_group_from_env() -> Option<usize> {
-    static GROUP: OnceLock<Option<usize>> = OnceLock::new();
-    *GROUP.get_or_init(|| {
-        std::env::var("LSM_BULK_GROUP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&g| g >= 1)
-    })
-}
+/// Lane-group width of the batched level searches (lookups, `bulk_get`,
+/// count and range): queries search each level in groups of this many
+/// lanes, all taking their probes in the same round — the CPU analogue of
+/// a GPU warp, twice the modelled warp width.
+pub(crate) const LANE_GROUP: usize = 64;
 
 /// Cost trace of lookups, accumulated into the device's traffic metrics
 /// and the structure's filter counters.
@@ -146,140 +126,17 @@ fn lane_pass(
     }
 }
 
-/// Calibrated per-scattered-probe and per-streamed-element costs (ns),
-/// measured once per process the same way the worker pool's sequential
-/// cutoff is (PR 2): tiny representative kernels timed at startup, pinned
-/// behind a `OnceLock`.
-fn lookup_costs() -> (f64, f64) {
-    static COSTS: OnceLock<(f64, f64)> = OnceLock::new();
-    *COSTS.get_or_init(|| {
-        let n: usize = 1 << 16;
-        let data: Vec<u32> = (0..n as u32).map(|i| i * 2).collect();
-        // Scattered cost: data-dependent binary searches with pseudo-random
-        // probes, charged per probe (log2 n probes per search).
-        let searches = 1usize << 12;
-        let mut acc = 0usize;
-        let mut x = 0x9E37_79B9u32;
-        let start = std::time::Instant::now();
-        for _ in 0..searches {
-            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            acc += data.partition_point(|&k| k < (x >> 15));
-        }
-        std::hint::black_box(acc);
-        let probes = searches as u32 * (usize::BITS - n.leading_zeros());
-        let probe_ns = start.elapsed().as_nanos() as f64 / f64::from(probes);
-        // Streaming cost: one linear reduction pass, charged per element.
-        let start = std::time::Instant::now();
-        let sum: u64 = std::hint::black_box(data.as_slice())
-            .iter()
-            .map(|&k| u64::from(k))
-            .sum();
-        std::hint::black_box(sum);
-        let stream_ns = start.elapsed().as_nanos() as f64 / n as f64;
-        (probe_ns.max(0.1), stream_ns.max(0.01))
-    })
-}
-
-/// Calibrated per-element cost (ns) of radix-sorting a query batch — the
-/// bulk path's dominant per-query toll, paid before it streams any level —
-/// measured directly on a throwaway device.
-fn sort_cost_ns() -> f64 {
-    static COST: OnceLock<f64> = OnceLock::new();
-    *COST.get_or_init(|| {
-        let device = gpu_sim::Device::new(gpu_sim::DeviceConfig::small());
-        let n: usize = 1 << 13;
-        let mut keys: Vec<u32> = (0..n as u32)
-            .map(|i| i.wrapping_mul(2_654_435_761))
-            .collect();
-        let mut values: Vec<u32> = (0..n as u32).collect();
-        let start = std::time::Instant::now();
-        gpu_primitives::radix_sort::sort_pairs(&device, &mut keys, &mut values);
-        std::hint::black_box(&keys);
-        (start.elapsed().as_nanos() as f64 / n as f64).max(0.5)
-    })
-}
-
-/// The `LSM_BULK_LOOKUP_FRAC` override: when set, the bulk path engages at
-/// `frac · resident elements` queries instead of the calibrated threshold.
-fn bulk_frac_override() -> Option<f64> {
-    static FRAC: OnceLock<Option<f64>> = OnceLock::new();
-    *FRAC.get_or_init(|| {
-        std::env::var("LSM_BULK_LOOKUP_FRAC")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|f| *f > 0.0)
-    })
-}
-
 impl GpuLsm {
     /// Look up a batch of keys in parallel.  Returns, for each query key,
     /// `Some(value)` of the most recent insertion if the key is present and
     /// not deleted, `None` otherwise.
     ///
-    /// Dispatches adaptively: batches smaller than
-    /// [`GpuLsm::bulk_lookup_threshold`] search in the callers' order
-    /// ([`GpuLsm::lookup_individual`]); larger batches are sorted first
-    /// ([`GpuLsm::lookup_bulk_sorted`]).  Both run the same lane groups and
-    /// return identical results.
+    /// The queries pass through the levels in the callers' order, in
+    /// lockstep lane groups (see the module doc); [`GpuLsm::bulk_get`]
+    /// answers the same batch identically after sorting it.  Charged per
+    /// query: one coalesced block read per filter consulted and the
+    /// scattered probes of every search that ran.
     pub fn lookup(&self, queries: &[Key]) -> Vec<Option<Value>> {
-        if queries.len() >= self.bulk_lookup_threshold() {
-            self.lookup_bulk_sorted(queries)
-        } else {
-            self.lookup_individual(queries)
-        }
-    }
-
-    /// The query count at which [`GpuLsm::lookup`] switches to the bulk
-    /// sorted path for the structure's *current* shape.
-    ///
-    /// Derived from the same style of per-process calibration as the worker
-    /// pool's sequential cutoff: with calibrated scattered-probe, streaming
-    /// and query-sort costs, the individual approach costs about
-    /// `Σ per-level probe depth · c_probe` per query while the bulk
-    /// approach costs `n · c_stream` once plus sort/stream work per query —
-    /// the threshold is where the two lines cross, floored at a minimum
-    /// batch size and overridable with `LSM_BULK_LOOKUP_FRAC` (a fraction
-    /// of the resident element count).
-    pub fn bulk_lookup_threshold(&self) -> usize {
-        let n = self.num_resident_elements();
-        if n == 0 {
-            return usize::MAX;
-        }
-        if let Some(frac) = self.bulk_lookup_frac.or_else(bulk_frac_override) {
-            return (((n as f64) * frac) as usize).max(MIN_BULK_QUERIES);
-        }
-        let levels = self.num_occupied_levels();
-        let (probe_ns, stream_ns) = lookup_costs();
-        // Individual per-query cost: filtered levels are usually decided by
-        // one cache-line filter read (modelled as ~2 probe-equivalents to
-        // cover false positives); unfiltered levels pay a fence-narrowed
-        // binary search.
-        let per_query_individual: f64 = self
-            .levels()
-            .iter_occupied()
-            .map(|(_, l)| {
-                if l.filter().is_some() {
-                    2.0 * probe_ns
-                } else {
-                    f64::from(l.search_probe_depth()) * probe_ns
-                }
-            })
-            .sum();
-        // Bulk per-query cost: the query sort plus one streamed needle pass
-        // and result reconciliation per level.
-        let per_query_bulk = sort_cost_ns() + (levels as f64 + 2.0) * stream_ns;
-        let margin = per_query_individual - per_query_bulk;
-        if margin <= 0.0 {
-            return usize::MAX; // individual is never beaten for this shape
-        }
-        (((n as f64) * stream_ns / margin) as usize).max(MIN_BULK_QUERIES)
-    }
-
-    /// The individual batch lookup: the queries, in the callers' order,
-    /// pass through the levels in lockstep lane groups (see the module
-    /// doc).  Charged per query: one coalesced block read per filter
-    /// consulted and the scattered probes of every search that ran.
-    pub fn lookup_individual(&self, queries: &[Key]) -> Vec<Option<Value>> {
         let kernel = "lsm_lookup";
         self.op_activity.record_lookups(queries.len() as u64);
         self.device().metrics().record_launch(kernel);
@@ -309,9 +166,9 @@ impl GpuLsm {
     }
 
     /// Resolve `queries` against `levels` (newest first) in lane groups of
-    /// [`GpuLsm::bulk_group_size`], in parallel over the groups.  Each
-    /// group makes one pass per level, a lane decided by a newer level
-    /// never being overwritten.  Also returns every pass, group-major
+    /// `LANE_GROUP`, in parallel over the groups.  Each group makes one
+    /// pass per level, a lane decided by a newer level never being
+    /// overwritten.  Also returns every pass, group-major
     /// (`passes[group * levels.len() + level]`), for the engine's traffic
     /// accounting.
     fn resolve_lanes(
@@ -323,19 +180,18 @@ impl GpuLsm {
         if levels.is_empty() {
             return (vec![None; n], Vec::new());
         }
-        let group = self.bulk_group_size();
         let mut answers: Vec<Option<Option<Value>>> = vec![None; n];
         // Scratch for the whole call, cut into one chunk per group.
         let mut live_keys: Vec<Key> = vec![0; n];
         let mut live_lanes: Vec<u32> = vec![0; n];
         let mut bounds: Vec<usize> = vec![0; n];
-        let mut passes = vec![GroupPass::default(); n.div_ceil(group) * levels.len()];
+        let mut passes = vec![GroupPass::default(); n.div_ceil(LANE_GROUP) * levels.len()];
         answers
-            .par_chunks_mut(group)
-            .zip(queries.par_chunks(group))
-            .zip(live_keys.par_chunks_mut(group))
-            .zip(live_lanes.par_chunks_mut(group))
-            .zip(bounds.par_chunks_mut(group))
+            .par_chunks_mut(LANE_GROUP)
+            .zip(queries.par_chunks(LANE_GROUP))
+            .zip(live_keys.par_chunks_mut(LANE_GROUP))
+            .zip(live_lanes.par_chunks_mut(LANE_GROUP))
+            .zip(bounds.par_chunks_mut(LANE_GROUP))
             .zip(passes.par_chunks_mut(levels.len()))
             .for_each(
                 |(((((answers, queries), live_keys), live_lanes), bounds), passes)| {
@@ -386,35 +242,18 @@ impl GpuLsm {
         self.lookup_one(key).is_some()
     }
 
-    /// The paper's *bulk* lookup alternative (§IV-B): sort all queries once,
-    /// then resolve them with the same lane-group passes as
-    /// [`GpuLsm::lookup_individual`].
-    ///
-    /// Returns results in the original query order, identical to
-    /// [`GpuLsm::lookup`].  The trade-off it exists to expose: the query
-    /// sort is an extra bulk pass, but sorted neighbours then share fence
-    /// windows and touch each level's key blocks in ascending order —
-    /// profitable when there are many queries relative to the structure
-    /// size, which is exactly when [`GpuLsm::lookup`] dispatches here.
-    ///
-    /// This is [`GpuLsm::bulk_get`] under its historical name and kernel
-    /// label.
-    pub fn lookup_bulk_sorted(&self, queries: &[Key]) -> Vec<Option<Value>> {
-        self.bulk_get_with_kernel(queries, "lsm_lookup_bulk", "lookup_bulk")
-    }
-
-    /// Warp-style bulk lookup — the paper's answer to the "PCIe tax" of
-    /// issuing GPU queries one at a time: amortise the launch over a large
-    /// batch and resolve it with *shared* work per warp-sized group.
+    /// Warp-style bulk lookup — the paper's *bulk* alternative (§IV-B) and
+    /// its answer to the "PCIe tax" of issuing GPU queries one at a time:
+    /// amortise the launch over a large batch and resolve it with *shared*
+    /// work per warp-sized group.
     ///
     /// The batch is sorted once, levels disjoint from its key range are
-    /// skipped, and groups of [`GpuLsm::bulk_group_size`] neighbouring
-    /// queries then pass through each remaining level in lockstep (see the
-    /// module doc): undecided lanes test the level's Bloom filter, and the
-    /// survivors search together with [`Level::lower_bounds`].  A sorted
-    /// group that is at least as dense as the fence samples shares one
-    /// window found by two fence descents; a sparser one gives each lane
-    /// its own fence window.
+    /// skipped, and groups of 64 neighbouring queries then pass through
+    /// each remaining level in lockstep (see the module doc): undecided
+    /// lanes test the level's Bloom filter, and the survivors search
+    /// together with [`Level::lower_bounds`].  A sorted group that is at
+    /// least as dense as the fence samples shares one window found by two
+    /// fence descents; a sparser one gives each lane its own fence window.
     ///
     /// The device model charges each group's pass as the GPU would run
     /// it: two scattered fence descents plus a cooperative, coalesced load
@@ -423,33 +262,13 @@ impl GpuLsm {
     /// block read per filter consulted.  Results are bit-identical to
     /// [`GpuLsm::lookup`], in the original query order.
     pub fn bulk_get(&self, queries: &[Key]) -> Vec<Option<Value>> {
-        self.bulk_get_with_kernel(queries, "lsm_bulk_get", "bulk_get")
-    }
-
-    /// The lane-group width of every batched level search (`bulk_get`,
-    /// `lookup`, count and range): the per-instance config override when
-    /// set, else `LSM_BULK_GROUP`, else the built-in default of 64.
-    pub fn bulk_group_size(&self) -> usize {
-        self.bulk_group
-            .or_else(bulk_group_from_env)
-            .unwrap_or(DEFAULT_BULK_GROUP)
-            .max(1)
-    }
-
-    /// Shared body of [`GpuLsm::bulk_get`] / [`GpuLsm::lookup_bulk_sorted`]:
-    /// sort, resolve in lane groups, scatter back.
-    fn bulk_get_with_kernel(
-        &self,
-        queries: &[Key],
-        kernel: &'static str,
-        timer_label: &'static str,
-    ) -> Vec<Option<Value>> {
+        let kernel = "lsm_bulk_get";
         self.op_activity.record_lookups(queries.len() as u64);
         self.device().metrics().record_launch(kernel);
         if queries.is_empty() {
             return Vec::new();
         }
-        self.device().timer().time(timer_label, || {
+        self.device().timer().time("bulk_get", || {
             // Sort the queries, remembering their original positions.
             let mut sorted_queries: Vec<Key> = queries.to_vec();
             let mut positions: Vec<u32> = (0..queries.len() as u32).collect();
@@ -527,6 +346,7 @@ mod tests {
 
     use gpu_sim::{Device, DeviceConfig};
 
+    use super::LANE_GROUP;
     use crate::batch::UpdateBatch;
     use crate::lsm::GpuLsm;
 
@@ -619,6 +439,34 @@ mod tests {
     }
 
     #[test]
+    fn bulk_lookup_prefilters_with_level_filters() {
+        // A bulk-built structure large enough to carry a filter; all-miss
+        // needles must be decided by the pre-pass (filter skips recorded)
+        // and results must stay identical to the individual path.
+        let pairs: Vec<(u32, u32)> = (0..4096u32).map(|k| (k * 4, k)).collect();
+        let lsm = GpuLsm::bulk_build(device(), 1 << 12, &pairs).unwrap();
+        let queries: Vec<u32> = (0..2048u32).map(|i| i * 8 + 2).collect(); // all absent
+        let before = lsm.stats();
+        let bulk = lsm.bulk_get(&queries);
+        assert_eq!(bulk, lsm.lookup(&queries));
+        assert!(bulk.iter().all(Option::is_none));
+        let after = lsm.stats();
+        if after.filter_bytes > 0 {
+            assert!(
+                after.filter_probes > before.filter_probes,
+                "bulk path must consult the level filters"
+            );
+            assert!(
+                after.filter_skips > before.filter_skips,
+                "all-miss needles must be skipped by the pre-pass"
+            );
+        }
+        // Present keys still resolve through the pre-pass.
+        let hits: Vec<u32> = (0..512u32).map(|k| k * 8).collect();
+        assert_eq!(lsm.bulk_get(&hits), lsm.lookup(&hits));
+    }
+
+    #[test]
     fn bulk_sorted_lookup_matches_individual_lookup() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -641,45 +489,15 @@ mod tests {
             lsm.update(&batch).unwrap();
         }
         let queries: Vec<u32> = (0..2500).map(|i| (i * 17) % 2600).collect();
-        assert_eq!(
-            lsm.lookup_bulk_sorted(&queries),
-            lsm.lookup_individual(&queries)
-        );
-        // The adaptive entry point agrees with both, whichever it picked.
-        assert_eq!(lsm.lookup(&queries), lsm.lookup_individual(&queries));
+        let reference: Vec<Option<u32>> = queries.iter().map(|&q| lsm.lookup_one(q)).collect();
+        assert_eq!(lsm.bulk_get(&queries), lsm.lookup(&queries));
+        assert_eq!(lsm.lookup(&queries), reference);
         // Empty query set and empty structure are handled.
-        assert!(lsm.lookup_bulk_sorted(&[]).is_empty());
+        assert!(lsm.bulk_get(&[]).is_empty());
+        assert!(lsm.lookup(&[]).is_empty());
         let empty = GpuLsm::new(device(), 8).unwrap();
-        assert_eq!(empty.lookup_bulk_sorted(&[1, 2]), vec![None, None]);
-        assert_eq!(empty.bulk_lookup_threshold(), usize::MAX);
-    }
-
-    #[test]
-    fn bulk_lookup_prefilters_with_level_filters() {
-        // A bulk-built structure large enough to carry a filter; all-miss
-        // needles must be decided by the pre-pass (filter skips recorded)
-        // and results must stay identical to the individual path.
-        let pairs: Vec<(u32, u32)> = (0..4096u32).map(|k| (k * 4, k)).collect();
-        let lsm = GpuLsm::bulk_build(device(), 1 << 12, &pairs).unwrap();
-        let queries: Vec<u32> = (0..2048u32).map(|i| i * 8 + 2).collect(); // all absent
-        let before = lsm.stats();
-        let bulk = lsm.lookup_bulk_sorted(&queries);
-        assert_eq!(bulk, lsm.lookup_individual(&queries));
-        assert!(bulk.iter().all(Option::is_none));
-        let after = lsm.stats();
-        if after.filter_bytes > 0 {
-            assert!(
-                after.filter_probes > before.filter_probes,
-                "bulk path must consult the level filters"
-            );
-            assert!(
-                after.filter_skips > before.filter_skips,
-                "all-miss needles must be skipped by the pre-pass"
-            );
-        }
-        // Present keys still resolve through the pre-pass.
-        let hits: Vec<u32> = (0..512u32).map(|k| k * 8).collect();
-        assert_eq!(lsm.lookup_bulk_sorted(&hits), lsm.lookup_individual(&hits));
+        assert_eq!(empty.bulk_get(&[1, 2]), vec![None, None]);
+        assert_eq!(empty.lookup(&[1, 2]), vec![None, None]);
     }
 
     #[test]
@@ -687,37 +505,76 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
-        // Group sizes straddling every boundary case: degenerate singles,
-        // non-dividing odd widths, the default, and one group per batch.
-        for group in [1usize, 3, 64, 1 << 20] {
-            let config = crate::config::LsmConfig::default().bulk_group(group);
-            let mut lsm = GpuLsm::with_config(device(), 32, &config).unwrap();
-            assert_eq!(lsm.bulk_group_size(), group);
-            for round in 0..9u32 {
-                let mut batch = UpdateBatch::new();
-                let mut used = std::collections::HashSet::new();
-                while used.len() < 32 {
-                    let key = rng.gen_range(0..1200u32);
-                    if !used.insert(key) {
-                        continue;
-                    }
-                    if rng.gen_bool(0.25) {
-                        batch.delete(key);
-                    } else {
-                        batch.insert(key, round * 10_000 + key);
-                    }
+        let mut lsm = GpuLsm::new(device(), 32).unwrap();
+        for round in 0..9u32 {
+            let mut batch = UpdateBatch::new();
+            let mut used = std::collections::HashSet::new();
+            while used.len() < 32 {
+                let key = rng.gen_range(0..1200u32);
+                if !used.insert(key) {
+                    continue;
                 }
-                lsm.update(&batch).unwrap();
+                if rng.gen_bool(0.25) {
+                    batch.delete(key);
+                } else {
+                    batch.insert(key, round * 10_000 + key);
+                }
             }
-            // Hits, misses, duplicates and out-of-range probes together.
-            let mut queries: Vec<u32> = (0..1500).map(|i| (i * 13) % 1400).collect();
-            queries.extend([0, 0, 7, 7, 7, 5000]);
-            // Every batch engine runs the lane kernel; the scalar walk of
-            // `lookup_one` is the independent reference for all of them.
+            lsm.update(&batch).unwrap();
+        }
+        // Hits, misses, duplicates and out-of-range probes together.
+        let mut queries: Vec<u32> = (0..1500).map(|i| (i * 13) % 1400).collect();
+        queries.extend([0, 0, 7, 7, 7, 5000]);
+        // Batch lengths that cut the queries into lane groups of every
+        // boundary size: a single lane, a non-dividing odd width, one lane
+        // short of a full group, exactly one group, one lane over, and many
+        // groups with a partial last one.
+        for len in [
+            1,
+            3,
+            LANE_GROUP - 1,
+            LANE_GROUP,
+            LANE_GROUP + 1,
+            queries.len(),
+        ] {
+            // Take the tail so the short batches include the duplicates and
+            // the out-of-range key.
+            let batch = &queries[queries.len() - len..];
+            // Both batch engines run the lane kernel; the scalar walk of
+            // `lookup_one` is the independent reference for both.
+            let reference: Vec<Option<u32>> = batch.iter().map(|&q| lsm.lookup_one(q)).collect();
+            assert_eq!(lsm.bulk_get(batch), reference, "bulk_get of {len}");
+            assert_eq!(lsm.lookup(batch), reference, "lookup of {len}");
+        }
+    }
+
+    #[test]
+    fn lookup_never_sorts_whatever_the_batch_size() {
+        // 127 carry-built batches of 64 keys: seven levels, none long
+        // enough for a filter — the shape on which sorting pays soonest.
+        let mut lsm = GpuLsm::new(device(), 64).unwrap();
+        for b in 0..127u32 {
+            let pairs: Vec<(u32, u32)> = (0..64).map(|i| ((i * 127 + b) * 3, b)).collect();
+            lsm.insert(&pairs).unwrap();
+        }
+        assert_eq!(lsm.num_occupied_levels(), 7);
+        let launches = |kernel: &str| {
+            let snapshot = lsm.device().metrics().snapshot();
+            snapshot.get(kernel).map_or(0, |t| t.launches)
+        };
+        for n in [1u32, 255, 256, 4096, 1 << 15] {
+            // Hits and misses scattered over the key range and past it.
+            let queries: Vec<u32> = (0..n)
+                .map(|i| i.wrapping_mul(2_654_435_761) % 30_000)
+                .collect();
             let reference: Vec<Option<u32>> = queries.iter().map(|&q| lsm.lookup_one(q)).collect();
-            assert_eq!(lsm.bulk_get(&queries), reference, "bulk_get, group {group}");
-            assert_eq!(lsm.lookup_individual(&queries), reference, "group {group}");
-            assert_eq!(lsm.lookup_bulk_sorted(&queries), reference, "group {group}");
+            let (lookups, bulk) = (launches("lsm_lookup"), launches("lsm_bulk_get"));
+            assert_eq!(lsm.lookup(&queries), reference, "lookup of {n}");
+            assert_eq!(launches("lsm_lookup"), lookups + 1, "lookup of {n}");
+            assert_eq!(launches("lsm_bulk_get"), bulk, "lookup of {n} sorted");
+            assert_eq!(lsm.bulk_get(&queries), reference, "bulk_get of {n}");
+            assert_eq!(launches("lsm_bulk_get"), bulk + 1, "bulk_get of {n}");
+            assert_eq!(launches("lsm_lookup"), lookups + 1, "bulk_get of {n}");
         }
     }
 
@@ -730,7 +587,7 @@ mod tests {
         let lsm = GpuLsm::bulk_build(device(), 1 << 13, &pairs).unwrap();
         let queries: Vec<u32> = (0..4096u32).map(|i| i * 6).collect(); // half hit
         let results = lsm.bulk_get(&queries);
-        assert_eq!(results, lsm.lookup_individual(&queries));
+        assert_eq!(results, lsm.lookup(&queries));
         let snapshot = lsm.device().metrics().snapshot();
         let traffic = snapshot
             .get("lsm_bulk_get")
@@ -749,7 +606,7 @@ mod tests {
     fn lookup_records_traffic() {
         let mut lsm = GpuLsm::new(device(), 8).unwrap();
         lsm.insert(&[(1, 1)]).unwrap();
-        let _ = lsm.lookup_individual(&[1, 2, 3]);
+        let _ = lsm.lookup(&[1, 2, 3]);
         assert!(lsm.device().metrics().snapshot().contains_key("lsm_lookup"));
 
         // The lane engine books exactly what one scalar walk per query
@@ -768,7 +625,7 @@ mod tests {
             snapshot.get("lsm_lookup").copied().unwrap_or_default()
         };
         let (before, stats_before) = (traffic(&lsm), lsm.stats());
-        let _ = lsm.lookup_individual(&queries);
+        let _ = lsm.lookup(&queries);
         let (after, stats_after) = (traffic(&lsm), lsm.stats());
         assert_eq!(
             after.scattered_transactions - before.scattered_transactions,
@@ -782,29 +639,5 @@ mod tests {
             stats_after.filter_skips - stats_before.filter_skips,
             walk.filter_skips
         );
-    }
-
-    #[test]
-    fn bulk_threshold_respects_env_floor_and_shape() {
-        let mut lsm = GpuLsm::new(device(), 8).unwrap();
-        lsm.insert(&[(1, 1)]).unwrap();
-        // Whatever the calibration says, tiny batches stay individual.
-        assert!(lsm.bulk_lookup_threshold() >= super::MIN_BULK_QUERIES);
-    }
-
-    #[test]
-    fn per_instance_config_frac_controls_bulk_dispatch() {
-        // The explicit-config route to the dispatch fraction: no env var
-        // involved, and the override is scoped to this instance.
-        let config = crate::config::LsmConfig::default().bulk_lookup_frac(0.5);
-        let mut lsm = GpuLsm::with_config(device(), 1 << 12, &config).unwrap();
-        let pairs: Vec<(u32, u32)> = (0..4096u32).map(|k| (k, k)).collect();
-        lsm.insert(&pairs).unwrap();
-        assert_eq!(lsm.bulk_lookup_threshold(), 2048);
-        // An unconfigured instance of the same shape keeps the calibrated
-        // (or env-driven) threshold, which at minimum honours the floor.
-        let mut plain = GpuLsm::new(device(), 1 << 12).unwrap();
-        plain.insert(&pairs).unwrap();
-        assert!(plain.bulk_lookup_threshold() >= super::MIN_BULK_QUERIES);
     }
 }

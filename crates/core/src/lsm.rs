@@ -65,12 +65,6 @@ pub struct GpuLsm {
     /// Lifetime update/lookup operation counters (shared across clones);
     /// feeds the sharded service's hot-shard detection.
     pub(crate) op_activity: Arc<crate::stats::OpActivity>,
-    /// Per-instance override of the bulk-lookup dispatch fraction; `None`
-    /// falls back to `LSM_BULK_LOOKUP_FRAC` and then the cost model.
-    pub(crate) bulk_lookup_frac: Option<f64>,
-    /// Per-instance override of the warp-style bulk-get group size; `None`
-    /// falls back to `LSM_BULK_GROUP` and then the built-in default.
-    pub(crate) bulk_group: Option<usize>,
     /// The slab arena backing carry-chain level storage (`None` = arena
     /// disabled, levels own plain vectors).  Shared across clones of the
     /// handle; cloned levels deep-copy out of the arena.
@@ -100,16 +94,14 @@ impl GpuLsm {
             filter_activity: Arc::default(),
             merge_activity: Arc::default(),
             op_activity: Arc::default(),
-            bulk_lookup_frac: None,
-            bulk_group: None,
             arena: arena_enabled_from_env().then(|| Arena::new(arena_chunk_words_from_env())),
             encode_scratch: (Vec::new(), Vec::new()),
         })
     }
 
     /// Create an empty GPU LSM configured by an explicit [`crate::LsmConfig`]
-    /// instead of the `LSM_*` env fallbacks.  Per-instance knobs
-    /// (`bulk_lookup_frac`) apply only to this structure; the process-wide
+    /// instead of the `LSM_*` env fallbacks.  Per-instance knobs (`arena`,
+    /// `arena_chunk_words`) apply only to this structure; the process-wide
     /// knobs the config carries (`bloom_bits`, `par_cutoff`) are installed
     /// globally — see [`crate::LsmConfig::apply_process_overrides`].
     pub fn with_config(
@@ -129,8 +121,6 @@ impl GpuLsm {
     /// shards keep the parent table's configuration instead of silently
     /// reverting to the env knobs.
     pub(crate) fn apply_instance_config(&mut self, config: &crate::config::LsmConfig) {
-        self.bulk_lookup_frac = config.bulk_lookup_frac;
-        self.bulk_group = config.bulk_group;
         match (config.arena, config.arena_chunk_words) {
             // Explicitly disabled: drop the env-derived arena.
             (Some(false), _) => self.arena = None,

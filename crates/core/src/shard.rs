@@ -806,38 +806,27 @@ impl ShardedLsm {
     // ------------------------------------------------------------------
 
     /// Bulk point lookups: routed to the owning shards, executed per shard
-    /// in parallel, reassembled in input order.
-    ///
-    /// Each shard's sub-batch goes through [`GpuLsm::lookup`]'s adaptive
-    /// dispatch, so a large fan-out lands on the bulk sorted path exactly
-    /// when the sub-batch is big relative to that shard (shards hold
-    /// `1/N`-th of the data, so sharding *lowers* the crossover).
+    /// in parallel through [`GpuLsm::lookup`] (each shard searches its
+    /// sub-batch in the callers' order), reassembled in input order.
     pub fn lookup(&self, queries: &[Key]) -> Vec<Option<Value>> {
-        let table = self.table_snapshot();
-        let parts = table.router.split_lookups(queries);
-        let work: Vec<(usize, &RoutedLookups)> = parts
-            .iter()
-            .enumerate()
-            .filter(|(_, (keys, _))| !keys.is_empty())
-            .collect();
-        let shard_answers: Vec<(&[usize], Vec<Option<Value>>)> = work
-            .par_iter()
-            .map(|(s, (keys, positions))| (positions.as_slice(), table.shards[*s].lookup(keys)))
-            .collect();
-        let mut out = vec![None; queries.len()];
-        for (positions, answers) in shard_answers {
-            for (&pos, ans) in positions.iter().zip(answers) {
-                out[pos] = ans;
-            }
-        }
-        out
+        self.lookup_with(queries, ConcurrentGpuLsm::lookup)
     }
 
     /// Warp-style bulk lookups: routed to the owning shards, executed per
     /// shard in parallel through [`GpuLsm::bulk_get`] (each shard sorts its
-    /// sub-batch and searches it in warp-sized lane groups), reassembled in
-    /// input order.  Results are identical to [`ShardedLsm::lookup`].
+    /// sub-batch first), reassembled in input order.  Results are
+    /// identical to [`ShardedLsm::lookup`].
     pub fn bulk_get(&self, queries: &[Key]) -> Vec<Option<Value>> {
+        self.lookup_with(queries, ConcurrentGpuLsm::bulk_get)
+    }
+
+    /// Shared fan-out of the point lookups: route, resolve each shard's
+    /// sub-batch with `resolve` in parallel, reassemble in input order.
+    fn lookup_with(
+        &self,
+        queries: &[Key],
+        resolve: impl Fn(&ConcurrentGpuLsm, &[Key]) -> Vec<Option<Value>> + Sync,
+    ) -> Vec<Option<Value>> {
         let table = self.table_snapshot();
         let parts = table.router.split_lookups(queries);
         let work: Vec<(usize, &RoutedLookups)> = parts
@@ -847,7 +836,7 @@ impl ShardedLsm {
             .collect();
         let shard_answers: Vec<(&[usize], Vec<Option<Value>>)> = work
             .par_iter()
-            .map(|(s, (keys, positions))| (positions.as_slice(), table.shards[*s].bulk_get(keys)))
+            .map(|(s, (keys, positions))| (positions.as_slice(), resolve(&table.shards[*s], keys)))
             .collect();
         let mut out = vec![None; queries.len()];
         for (positions, answers) in shard_answers {

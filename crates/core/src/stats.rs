@@ -400,7 +400,7 @@ mod tests {
         let before = lsm.stats();
         assert!(before.fence_bytes > 0);
         assert_eq!(before.filter_probes, 0);
-        let _ = lsm.lookup_individual(&[1, 3, 5, 4096 * 2]);
+        let _ = lsm.lookup(&[1, 3, 5, 4096 * 2]);
         let after = lsm.stats();
         if after.filter_bytes > 0 {
             // All four queries miss; each consults the single level's filter.
@@ -420,7 +420,7 @@ mod tests {
         let mut lsm = GpuLsm::new(device(), 4).unwrap();
         lsm.insert(&[(1, 1), (2, 2)]).unwrap();
         lsm.delete(&[2]).unwrap();
-        let _ = lsm.lookup_individual(&[1, 2, 3]);
+        let _ = lsm.lookup(&[1, 2, 3]);
         let stats = lsm.stats();
         assert_eq!(stats.update_ops, 3);
         assert_eq!(stats.lookup_ops, 3);

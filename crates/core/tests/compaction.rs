@@ -213,8 +213,8 @@ fn incremental_filter_maintenance_is_taken_and_exact() {
     // And the filtered structure still answers exactly.
     let queries: Vec<u32> = (0..60_000).step_by(31).collect();
     let expected: Vec<Option<u32>> = queries.iter().map(|k| model.get(k).copied()).collect();
-    assert_eq!(lsm.lookup_individual(&queries), expected);
-    assert_eq!(lsm.lookup_bulk_sorted(&queries), expected);
+    assert_eq!(lsm.lookup(&queries), expected);
+    assert_eq!(lsm.bulk_get(&queries), expected);
 }
 
 #[test]

@@ -52,19 +52,12 @@ fn filters_on<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Compare every query surface of two structures that must hold identical
-/// data: adaptive/individual/bulk lookups, counts, ranges (full layout,
+/// data: individual and bulk lookups, counts, ranges (full layout,
 /// offsets included) and order queries.
 fn assert_identical_answers(off: &GpuLsm, on: &GpuLsm, key_domain: u32) {
     let queries: Vec<u32> = (0..key_domain).step_by(3).chain([0, key_domain]).collect();
-    assert_eq!(
-        off.lookup_individual(&queries),
-        on.lookup_individual(&queries)
-    );
-    assert_eq!(
-        off.lookup_bulk_sorted(&queries),
-        on.lookup_bulk_sorted(&queries)
-    );
     assert_eq!(off.lookup(&queries), on.lookup(&queries));
+    assert_eq!(off.bulk_get(&queries), on.bulk_get(&queries));
     let intervals: Vec<(u32, u32)> = vec![
         (0, key_domain / 4),
         (key_domain / 4, key_domain / 2),

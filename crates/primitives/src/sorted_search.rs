@@ -6,10 +6,10 @@
 //! *individual* approach (each thread binary-searches on its own — random
 //! accesses, no cooperation) and the *bulk* approach (sort all queries, then
 //! run a sorted search against each level — streaming accesses, but the
-//! query sort must be paid first).  The GPU LSM uses the individual
-//! approach; this primitive exists so the trade-off can be reproduced and
-//! measured (see the `ablation` benchmarks and
-//! `GpuLsm::lookup_bulk_sorted`).
+//! query sort must be paid first).  The GPU LSM runs both approaches on
+//! one lockstep lane-group search, `GpuLsm::lookup` in the callers' order
+//! and `GpuLsm::bulk_get` after a query sort (the `ablation` benchmarks
+//! compare the two), so neither calls this merge-style sorted search.
 //!
 //! The algorithm is the standard merge-path style decomposition: needles are
 //! cut into tiles; each tile's first needle is located in the haystack with

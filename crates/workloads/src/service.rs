@@ -32,7 +32,6 @@
 //! identical operation streams.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use gpu_lsm::{
@@ -138,31 +137,6 @@ impl LsmBackend for AdmittedLsm {
     }
 }
 
-/// The `LSM_CLIENT_THINK_US` environment knob: default per-client think
-/// time in microseconds for closed-loop runs (default 0).
-fn env_think_us() -> u64 {
-    static US: OnceLock<u64> = OnceLock::new();
-    *US.get_or_init(|| {
-        std::env::var("LSM_CLIENT_THINK_US")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0)
-    })
-}
-
-/// The `LSM_CLIENT_OUTSTANDING` environment knob: default bound on each
-/// closed-loop writer's admitted-but-unapplied batches (default 4;
-/// 0 = unbounded).
-fn env_outstanding() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("LSM_CLIENT_OUTSTANDING")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(4)
-    })
-}
-
 /// Shape of a mixed concurrent run.
 #[derive(Debug, Clone)]
 pub struct MixedWorkloadConfig {
@@ -199,11 +173,11 @@ pub struct MixedWorkloadConfig {
     /// Open loop when `false` (the two knobs below are then ignored).
     pub closed_loop: bool,
     /// Closed loop: microseconds each client sleeps between requests
-    /// (defaults to the `LSM_CLIENT_THINK_US` environment knob).
+    /// (default 0).
     pub think_time_us: u64,
     /// Closed loop: a writer issues a flush barrier whenever this many of
     /// its batches may still be unapplied, bounding its outstanding work
-    /// (0 = unbounded; defaults to the `LSM_CLIENT_OUTSTANDING` knob).
+    /// (0 = unbounded; default 4).
     pub max_outstanding: usize,
 }
 
@@ -222,8 +196,8 @@ impl Default for MixedWorkloadConfig {
             zipf_theta: 0.0,
             seed: 0x5EED_CAFE,
             closed_loop: false,
-            think_time_us: env_think_us(),
-            max_outstanding: env_outstanding(),
+            think_time_us: 0,
+            max_outstanding: 4,
         }
     }
 }

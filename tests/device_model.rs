@@ -44,10 +44,7 @@ fn lookups_are_charged_as_scattered_probes() {
     let lsm = GpuLsm::bulk_build(dev.clone(), 1024, &pairs).unwrap();
     dev.reset_counters();
     let queries: Vec<u32> = pairs.iter().take(2048).map(|&(k, _)| k).collect();
-    // Pin the individual path: the adaptive `lookup` may legitimately
-    // reroute a batch this large through the bulk sorted kernel, whose
-    // traffic is charged under a different name.
-    let _ = lsm.lookup_individual(&queries);
+    let _ = lsm.lookup(&queries);
     let snapshot = dev.metrics().snapshot();
     let lookup = &snapshot["lsm_lookup"];
     assert!(
@@ -72,7 +69,7 @@ fn filter_probes_are_charged_as_coalesced_block_reads() {
     let resident: Vec<u32> = pairs.iter().map(|&(k, _)| k).collect();
     let misses = lsm_workloads::missing_lookups(&resident, 2048, 8);
     dev.reset_counters();
-    let results = lsm.lookup_individual(&misses);
+    let results = lsm.lookup(&misses);
     assert!(results.iter().all(|r| r.is_none()));
     let snapshot = dev.metrics().snapshot();
     let lookup = &snapshot["lsm_lookup"];
