@@ -11,7 +11,9 @@ use gpu_lsm::GpuLsm;
 use lsm_workloads::{range_queries_with_expected_width, unique_random_pairs, SweepConfig};
 
 use super::{experiment_device, sample_resident_batches};
-use crate::measure::{queries_per_sec_m, time_once, RateStats};
+use crate::measure::{
+    modelled_time_once, queries_per_sec_m, rate_m_from_seconds, time_once, RateStats,
+};
 use crate::report::{fmt_rate, Table};
 
 /// Which retrieval operation a row measures.
@@ -43,6 +45,8 @@ pub struct Table4Row {
     pub expected_width: usize,
     /// GPU LSM rate statistics over the sampled `r` values.
     pub lsm: RateStats,
+    /// GPU LSM rates in modelled device time (deterministic).
+    pub lsm_modelled: RateStats,
     /// GPU SA rate statistics.
     pub sa: RateStats,
 }
@@ -74,6 +78,7 @@ fn measure_one(
     let sampled = sample_resident_batches(max_r, r_samples);
 
     let mut lsm_rates = Vec::new();
+    let mut lsm_modelled = Vec::new();
     let mut sa_rates = Vec::new();
     for &r in &sampled {
         let resident = &pairs[..r * batch_size];
@@ -87,20 +92,19 @@ fn measure_one(
 
         let lsm = GpuLsm::bulk_build(device.clone(), batch_size, resident).expect("bulk build");
         let sa = SortedArray::bulk_build(device.clone(), resident);
-        match kind {
-            QueryKind::Count => {
-                let (_, t) = time_once(|| lsm.count(&queries));
-                lsm_rates.push(queries_per_sec_m(num_queries, t));
-                let (_, t) = time_once(|| sa.count(&queries));
-                sa_rates.push(queries_per_sec_m(num_queries, t));
-            }
-            QueryKind::Range => {
-                let (_, t) = time_once(|| lsm.range(&queries));
-                lsm_rates.push(queries_per_sec_m(num_queries, t));
-                let (_, t) = time_once(|| sa.range(&queries));
-                sa_rates.push(queries_per_sec_m(num_queries, t));
-            }
-        }
+        let ((_, t), modelled) = modelled_time_once(&device, || {
+            time_once(|| match kind {
+                QueryKind::Count => drop(lsm.count(&queries)),
+                QueryKind::Range => drop(lsm.range(&queries)),
+            })
+        });
+        lsm_rates.push(queries_per_sec_m(num_queries, t));
+        lsm_modelled.push(rate_m_from_seconds(num_queries, modelled));
+        let (_, t) = time_once(|| match kind {
+            QueryKind::Count => drop(sa.count(&queries)),
+            QueryKind::Range => drop(sa.range(&queries)),
+        });
+        sa_rates.push(queries_per_sec_m(num_queries, t));
     }
 
     Table4Row {
@@ -108,6 +112,7 @@ fn measure_one(
         batch_size,
         expected_width,
         lsm: RateStats::from_rates(&lsm_rates),
+        lsm_modelled: RateStats::from_rates(&lsm_modelled),
         sa: RateStats::from_rates(&sa_rates),
     }
 }
@@ -190,6 +195,7 @@ mod tests {
     fn wider_ranges_are_slower() {
         // Shape check from Table IV: L = 1024-style wide queries are much
         // slower than L = 8 because far more candidates must be validated.
+        // Compared in modelled device time, so load cannot flip it.
         let config = SweepConfig {
             total_elements: 1 << 12,
             batch_sizes: vec![1 << 10],
@@ -207,17 +213,18 @@ mod tests {
             .find(|r| r.kind == QueryKind::Count && r.expected_width == 256)
             .unwrap();
         assert!(
-            narrow.lsm.harmonic_mean > wide.lsm.harmonic_mean,
+            narrow.lsm_modelled.harmonic_mean > wide.lsm_modelled.harmonic_mean,
             "narrow {} should beat wide {}",
-            narrow.lsm.harmonic_mean,
-            wide.lsm.harmonic_mean
+            narrow.lsm_modelled.harmonic_mean,
+            wide.lsm_modelled.harmonic_mean
         );
     }
 
     #[test]
     fn count_is_not_slower_than_range() {
         // Count avoids the value gather and the final compaction, so it
-        // should be at least as fast as range for the same configuration.
+        // should be at least as fast as range for the same configuration
+        // (in modelled device time, so load cannot flip it).
         let config = SweepConfig {
             total_elements: 1 << 12,
             batch_sizes: vec![1 << 10],
@@ -234,6 +241,11 @@ mod tests {
             .iter()
             .find(|r| r.kind == QueryKind::Range)
             .unwrap();
-        assert!(count.lsm.harmonic_mean >= range.lsm.harmonic_mean * 0.7);
+        assert!(
+            count.lsm_modelled.harmonic_mean >= range.lsm_modelled.harmonic_mean * 0.7,
+            "count {} vs range {}",
+            count.lsm_modelled.harmonic_mean,
+            range.lsm_modelled.harmonic_mean
+        );
     }
 }

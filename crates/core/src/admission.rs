@@ -92,7 +92,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::batch::{Op, UpdateBatch};
@@ -148,62 +148,9 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 /// the coalescing window.
 pub const COALESCE_WINDOW: usize = 16;
 
-/// The `LSM_ADMIT_QUEUE` environment knob: per-shard queue capacity in
-/// batches (minimum 1, default [`DEFAULT_QUEUE_CAPACITY`]).
-fn env_queue_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("LSM_ADMIT_QUEUE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(DEFAULT_QUEUE_CAPACITY, |c| c.max(1))
-    })
-}
-
-/// The `LSM_ADMIT_COALESCE` environment knob: `0` disables coalescing (the
-/// applier replays batches exactly as submitted), anything else (default)
-/// enables it.
-fn env_coalesce() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("LSM_ADMIT_COALESCE")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .is_none_or(|v| v != 0)
-    })
-}
-
-/// The `LSM_SUBMIT_TIMEOUT_MS` environment knob: how long `submit` may
-/// block on backpressure before returning [`LsmError::SubmitTimedOut`]
-/// (unset or 0 = wait forever, today's behavior).
-fn env_submit_timeout() -> Option<Duration> {
-    static T: OnceLock<Option<Duration>> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("LSM_SUBMIT_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-    })
-}
-
-/// The `LSM_FLUSH_TIMEOUT_MS` environment knob: how long `flush` may wait
-/// for the drain barrier before returning [`LsmError::FlushTimedOut`]
-/// (unset or 0 = wait forever).
-fn env_flush_timeout() -> Option<Duration> {
-    static T: OnceLock<Option<Duration>> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("LSM_FLUSH_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-    })
-}
-
-/// Tuning of one admission layer (see the `LSM_ADMIT_*` environment knobs
-/// for the process-wide defaults, and [`crate::LsmConfig`] for the
-/// explicit per-instance route).
+/// Tuning of one admission layer.  [`AdmittedLsm::new`] derives it from
+/// the service's resolved [`crate::LsmConfig`] (explicit fields, then the
+/// `LSM_ADMIT_*` / `LSM_*_TIMEOUT_MS` environment, then these defaults).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Bound of each shard's queue, in batches; submitters block when the
@@ -225,14 +172,16 @@ pub struct AdmissionConfig {
     pub flush_deadline: Option<Duration>,
 }
 
+/// The constant defaults: [`DEFAULT_QUEUE_CAPACITY`] batches per shard,
+/// coalescing on, no read-your-writes, no deadlines.
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
-            queue_capacity: env_queue_capacity(),
-            coalesce: env_coalesce(),
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
+            coalesce: true,
             read_your_writes: false,
-            submit_deadline: env_submit_timeout(),
-            flush_deadline: env_flush_timeout(),
+            submit_deadline: None,
+            flush_deadline: None,
         }
     }
 }
@@ -537,9 +486,9 @@ pub struct AdmittedLsm {
 }
 
 impl AdmittedLsm {
-    /// Wrap `service` with the admission configuration derived from the
-    /// service's [`crate::LsmConfig`] (explicit knobs first, `LSM_ADMIT_*`
-    /// environment fallback for the rest).
+    /// Wrap `service` with the admission configuration its resolved
+    /// [`crate::LsmConfig`] implies (see [`LsmConfig::admission`]): the
+    /// environment was read when the service was built, not here.
     pub fn new(service: ShardedLsm) -> Self {
         let config = service.config().admission();
         Self::with_config(service, config)
@@ -643,6 +592,9 @@ impl AdmittedLsm {
                 context: "open_durable requires LsmConfig::durability to be set".to_string(),
             });
         };
+        // Resolved once, here: every shard of the recovered or the fresh
+        // service is built with these settings.
+        let config = config.resolve()?;
         let vfs = dcfg.vfs_impl();
         vfs.create_dir_all(&dcfg.dir)
             .map_err(|e| LsmError::Durability {
@@ -680,7 +632,9 @@ impl AdmittedLsm {
                     let shards = snapshot
                         .shards
                         .into_iter()
-                        .map(|levels| GpuLsm::from_levels(device.clone(), batch_size, levels))
+                        .map(|levels| {
+                            GpuLsm::from_levels(device.clone(), batch_size, levels, &config)
+                        })
                         .collect::<Result<Vec<_>>>()?;
                     // Bind every loaded run to the level just built from
                     // it, so the next snapshot carries the file over for
@@ -704,7 +658,8 @@ impl AdmittedLsm {
                     (service, snapshot.seq, epoch, run_refs)
                 }
                 None => {
-                    let service = ShardedLsm::with_config(device, batch_size, num_shards, config)?;
+                    let router = ShardRouter::new(num_shards)?;
+                    let service = ShardedLsm::build(device, batch_size, router, config, None)?;
                     let epoch = service.epoch();
                     (service, 0, epoch, RunMap::new())
                 }

@@ -34,10 +34,9 @@ use std::collections::HashMap;
 use std::ptr::NonNull;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default chunk size in `u32` words (1 MiB); the first level reservation
-/// larger than this gets a dedicated chunk of exactly its size.
-/// Overridable per structure via `LSM_ARENA_CHUNK` /
-/// [`crate::LsmConfig::arena_chunk_words`].
+/// Chunk size in `u32` words (1 MiB) of every structure's arena; the first
+/// level reservation larger than this gets a dedicated chunk of exactly
+/// its size.
 pub const DEFAULT_CHUNK_WORDS: usize = 1 << 18;
 
 /// One raw slab of `u32` storage.  Zero-initialized at allocation so every
@@ -171,16 +170,12 @@ pub struct Arena {
 
 impl Arena {
     /// Create an empty arena whose chunks hold at least `min_chunk_words`
-    /// words (0 falls back to [`DEFAULT_CHUNK_WORDS`]).  No memory is
-    /// allocated until the first reservation.
+    /// words (at least 1; structures use [`DEFAULT_CHUNK_WORDS`]).  No
+    /// memory is allocated until the first reservation.
     pub fn new(min_chunk_words: usize) -> Arc<Self> {
         Arc::new(Arena {
             inner: Mutex::new(ArenaInner::default()),
-            min_chunk_words: if min_chunk_words == 0 {
-                DEFAULT_CHUNK_WORDS
-            } else {
-                min_chunk_words
-            },
+            min_chunk_words: min_chunk_words.max(1),
         })
     }
 

@@ -33,7 +33,7 @@
 //! incremental-vs-rebuilt split is observable from [`crate::LsmStats`].
 
 use gpu_primitives::fence::{FenceArray, DEFAULT_FENCE_INTERVAL};
-use gpu_primitives::filter::{config_bits_per_key, BloomFilter};
+use gpu_primitives::filter::BloomFilter;
 use gpu_primitives::merge::{merge_pairs_by, merge_pairs_by_into};
 use gpu_primitives::search::upper_bound_by;
 use gpu_sim::AccessPattern;
@@ -80,8 +80,10 @@ pub struct CompactionPlan {
 impl CompactionPlan {
     /// Plan the cascade for inserting one batch into `levels`: the
     /// participating levels are the occupied prefix (the trailing set bits
-    /// of the batch counter), the target is the first empty level.
-    pub fn for_insert(levels: &LevelSet, batch_size: usize) -> Self {
+    /// of the batch counter), the target is the first empty level.  The
+    /// output gets a filter only when the structure's filter sizing
+    /// `bloom_bits` is above 0.
+    pub fn for_insert(levels: &LevelSet, batch_size: usize, bloom_bits: u32) -> Self {
         let mut target = 0usize;
         while levels.is_full(target) {
             target += 1;
@@ -93,7 +95,7 @@ impl CompactionPlan {
             target_level: target,
             output_len,
             transient: true,
-            build_filter: config_bits_per_key() > 0 && output_len >= min_len,
+            build_filter: bloom_bits > 0 && output_len >= min_len,
         }
     }
 
@@ -116,12 +118,12 @@ impl GpuLsm {
     /// The cascade the *next* batch insertion will run — observability into
     /// the planner without moving any data.
     pub fn plan_next_insert(&self) -> CompactionPlan {
-        CompactionPlan::for_insert(&self.levels, self.batch_size())
+        CompactionPlan::for_insert(&self.levels, self.batch_size(), self.bloom_bits)
     }
 
     /// The carry chain: plan the cascade, execute it, place the output.
     pub(crate) fn push_sorted_buffer(&mut self, keys: Vec<EncodedKey>, values: Vec<Value>) {
-        let plan = CompactionPlan::for_insert(&self.levels, self.batch_size());
+        let plan = self.plan_next_insert();
         let level = self.execute_plan(&plan, keys, values);
         self.levels.place(plan.target_level, level);
         self.num_batches += 1;
@@ -245,8 +247,7 @@ impl GpuLsm {
         // full sizing from the output keys, like the old write path always
         // did.
         if plan.build_filter && filter.is_none() {
-            filter =
-                BloomFilter::build(keys.iter().map(|&k| original_key(k)), config_bits_per_key());
+            filter = BloomFilter::build(keys.iter().map(|&k| original_key(k)), self.bloom_bits);
             if filter.is_some() {
                 self.merge_activity.record_filter_rebuild();
                 self.record_filter_build(keys.len(), filter.as_ref());

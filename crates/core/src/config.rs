@@ -1,21 +1,21 @@
 //! Typed configuration for the LSM stack.
 //!
-//! [`LsmConfig`] is the explicit, programmatic way to set every knob that
-//! was historically an `LSM_*` environment variable, plus the thresholds
-//! for online shard rebalancing ([`RebalanceConfig`]).  The environment
-//! variables still work — [`LsmConfig::from_env`] reads them into a config,
-//! and the per-module env fallbacks remain in place for fields left unset —
-//! but they are now the *fallback* layer: an explicit config always wins.
+//! [`LsmConfig`] sets the construction-time knobs of [`crate::GpuLsm`],
+//! [`crate::ShardedLsm`] and [`crate::AdmittedLsm`], plus the thresholds
+//! for online shard rebalancing ([`RebalanceConfig`]).  Each public
+//! constructor resolves every field once, when the structure is built, and
+//! the structure keeps the result:
 //!
-//! Scope of each knob:
+//! 1. a field set on the config wins;
+//! 2. otherwise its `LSM_*` environment variable, read strictly by
+//!    [`LsmConfig::from_env`], the stack's only environment reader;
+//! 3. otherwise a constant default.
 //!
-//! * the arena, admission and `rebalance` knobs are **per instance**:
-//!   they only affect the structure constructed with this config.
-//! * `bloom_bits` and `par_cutoff` are **process-wide**: the Bloom filter
-//!   sizing and the parallel-dispatch cutoff live in global calibration
-//!   state shared by every LSM in the process.  Constructing a structure
-//!   with these fields set installs the corresponding global override
-//!   (fields left `None` touch nothing).
+//! Shard rebuilds, crash recovery and cleanup reuse the stored values and
+//! never read the environment again.  Every knob is per instance except
+//! `par_cutoff`: the worker pool is shared by the whole process, so that
+//! field installs a process-wide cutoff (see
+//! [`LsmConfig::apply_process_overrides`]).
 
 use std::time::Duration;
 
@@ -65,8 +65,9 @@ impl Default for RebalanceConfig {
 
 /// Typed configuration for [`crate::GpuLsm`], [`crate::ShardedLsm`] and
 /// [`crate::AdmittedLsm`].  `None` fields fall back to the corresponding
-/// `LSM_*` environment variable (if set) and then to the built-in default;
-/// see the crate README's knob table for the mapping.
+/// `LSM_*` environment variable (if set) and then to the built-in default,
+/// once, when a structure is built; see the crate README's knob table for
+/// the mapping.
 ///
 /// ```
 /// use gpu_lsm::{LsmConfig, RebalanceConfig};
@@ -81,22 +82,23 @@ impl Default for RebalanceConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LsmConfig {
-    /// Bloom filter bits per key (`LSM_BLOOM_BITS`); 0 disables filters.
-    /// **Process-wide** — installs a global override when set.
+    /// Bloom filter bits per key (`LSM_BLOOM_BITS`, at most 64); 0
+    /// disables filters.  Per instance; default
+    /// [`gpu_primitives::filter::DEFAULT_BITS_PER_KEY`].
     pub bloom_bits: Option<u32>,
-    /// Sequential cutoff for the worker pool (`LSM_PAR_CUTOFF`); inputs
-    /// shorter than this run sequentially.  **Process-wide**.
+    /// Sequential cutoff for the worker pool; inputs shorter than this run
+    /// sequentially.  **Process-wide**: the constructors install it for
+    /// every structure in the process.  `None` leaves the pool's own
+    /// choice, `LSM_PAR_CUTOFF` or else 4096, which the pool reads itself.
     pub par_cutoff: Option<usize>,
     /// Whether level storage lives in the per-structure slab arena
     /// (`LSM_ARENA`; 0 disables).  Per instance; default on.
     pub arena: Option<bool>,
-    /// Minimum arena chunk size in `u32` words (`LSM_ARENA_CHUNK`, ≥ 1).
-    /// Per instance; default [`crate::arena::DEFAULT_CHUNK_WORDS`].
-    pub arena_chunk_words: Option<usize>,
-    /// Admission queue capacity per shard (`LSM_ADMIT_QUEUE`).
+    /// Admission queue capacity per shard (`LSM_ADMIT_QUEUE`); default
+    /// [`crate::admission::DEFAULT_QUEUE_CAPACITY`].
     pub admit_queue_capacity: Option<usize>,
     /// Whether the admission applier coalesces queued batches
-    /// (`LSM_ADMIT_COALESCE`; 0 disables).
+    /// (`LSM_ADMIT_COALESCE`; 0 disables).  Default on.
     pub admit_coalesce: Option<bool>,
     /// Bounded backpressure: how long `submit` may block waiting for
     /// admission queue space before failing with
@@ -125,14 +127,14 @@ impl LsmConfig {
     /// does not parse (or parses to a nonsensical setting) is an
     /// [`LsmError::InvalidEnvValue`] — a typo'd `LSM_ADMIT_QUEUE=4o96`
     /// must not silently change behavior.  This is the documented fallback
-    /// layer: prefer explicit configs in new code.
+    /// layer every constructor consults for the fields its config leaves
+    /// unset; prefer explicit configs in new code.  `LSM_PAR_CUTOFF` is not
+    /// read here: the worker pool reads it itself.
     ///
     /// | field | variable |
     /// |---|---|
-    /// | `bloom_bits` | `LSM_BLOOM_BITS` |
-    /// | `par_cutoff` | `LSM_PAR_CUTOFF` |
+    /// | `bloom_bits` | `LSM_BLOOM_BITS` (bits per key, ≤ 64) |
     /// | `arena` | `LSM_ARENA` (0 = off) |
-    /// | `arena_chunk_words` | `LSM_ARENA_CHUNK` (words, ≥ 1) |
     /// | `admit_queue_capacity` | `LSM_ADMIT_QUEUE` (must be ≥ 1) |
     /// | `admit_coalesce` | `LSM_ADMIT_COALESCE` (0 = off) |
     /// | `submit_timeout` | `LSM_SUBMIT_TIMEOUT_MS` (ms, ≥ 1) |
@@ -182,12 +184,12 @@ impl LsmConfig {
             }
         }
 
-        let arena_chunk_words = parse::<usize>("LSM_ARENA_CHUNK", lookup("LSM_ARENA_CHUNK")?)?;
-        if arena_chunk_words == Some(0) {
+        let bloom_bits = parse::<u32>("LSM_BLOOM_BITS", lookup("LSM_BLOOM_BITS")?)?;
+        if let Some(bits) = bloom_bits.filter(|&bits| bits > 64) {
             return Err(reject(
-                "LSM_ARENA_CHUNK",
-                0,
-                "chunk size must be at least 1 word (unset the variable for the default)",
+                "LSM_BLOOM_BITS",
+                bits,
+                "at most 64 bits per key (0 disables filters)",
             ));
         }
         let admit_queue_capacity = parse::<usize>("LSM_ADMIT_QUEUE", lookup("LSM_ADMIT_QUEUE")?)?;
@@ -287,10 +289,9 @@ impl LsmConfig {
             d
         });
         Ok(LsmConfig {
-            bloom_bits: parse("LSM_BLOOM_BITS", lookup("LSM_BLOOM_BITS")?)?,
-            par_cutoff: parse("LSM_PAR_CUTOFF", lookup("LSM_PAR_CUTOFF")?)?,
+            bloom_bits,
+            par_cutoff: None,
             arena: parse::<u32>("LSM_ARENA", lookup("LSM_ARENA")?)?.map(|v| v != 0),
-            arena_chunk_words,
             admit_queue_capacity,
             admit_coalesce: parse::<u32>("LSM_ADMIT_COALESCE", lookup("LSM_ADMIT_COALESCE")?)?
                 .map(|v| v != 0),
@@ -301,7 +302,7 @@ impl LsmConfig {
         })
     }
 
-    /// Set the Bloom filter bits per key (process-wide; 0 disables).
+    /// Set the Bloom filter bits per key for this instance (0 disables).
     pub fn bloom_bits(mut self, bits: u32) -> Self {
         self.bloom_bits = Some(bits);
         self
@@ -316,12 +317,6 @@ impl LsmConfig {
     /// Enable or disable slab-arena level storage for this instance.
     pub fn arena(mut self, enabled: bool) -> Self {
         self.arena = Some(enabled);
-        self
-    }
-
-    /// Set the minimum arena chunk size in `u32` words (min 1).
-    pub fn arena_chunk_words(mut self, words: usize) -> Self {
-        self.arena_chunk_words = Some(words.max(1));
         self
     }
 
@@ -364,21 +359,40 @@ impl LsmConfig {
         self
     }
 
-    /// Install the process-wide overrides this config carries (`bloom_bits`
-    /// and `par_cutoff`); fields left `None` change nothing.  Called by the
-    /// `with_config` constructors; safe to call directly when only the
-    /// global knobs are wanted.
+    /// Install the process-wide setting this config carries, the worker
+    /// pool's cutoff (`par_cutoff`); `None` changes nothing.  Called by the
+    /// constructors; safe to call directly when only the pool cutoff is
+    /// wanted.
     pub fn apply_process_overrides(&self) {
-        if let Some(bits) = self.bloom_bits {
-            gpu_primitives::filter::set_bloom_bits_override(Some(bits));
-        }
         if let Some(cutoff) = self.par_cutoff {
             rayon::set_sequential_cutoff(cutoff);
         }
     }
 
-    /// The admission configuration this config implies: explicit fields
-    /// win, unset fields fall back to the env-derived defaults.
+    /// This config with every unset per-instance field taken from the
+    /// environment ([`LsmConfig::from_env`]).  Each public constructor
+    /// calls this exactly once and keeps the result; fields still `None`
+    /// afterwards mean the constant default.  `durability`, `rebalance`
+    /// and `par_cutoff` are explicit-only and pass through unchanged.
+    pub(crate) fn resolve(&self) -> Result<LsmConfig> {
+        Ok(self.with_fallback(LsmConfig::from_env()?))
+    }
+
+    /// `self` with every unset per-instance field taken from `fallback`.
+    fn with_fallback(&self, fallback: LsmConfig) -> LsmConfig {
+        LsmConfig {
+            bloom_bits: self.bloom_bits.or(fallback.bloom_bits),
+            arena: self.arena.or(fallback.arena),
+            admit_queue_capacity: self.admit_queue_capacity.or(fallback.admit_queue_capacity),
+            admit_coalesce: self.admit_coalesce.or(fallback.admit_coalesce),
+            submit_timeout: self.submit_timeout.or(fallback.submit_timeout),
+            flush_timeout: self.flush_timeout.or(fallback.flush_timeout),
+            ..self.clone()
+        }
+    }
+
+    /// The admission configuration this config implies: set fields win,
+    /// unset fields take [`AdmissionConfig::default`]'s constants.
     pub fn admission(&self) -> AdmissionConfig {
         let mut ac = AdmissionConfig::default();
         if let Some(capacity) = self.admit_queue_capacity {
@@ -410,7 +424,7 @@ mod tests {
         assert_eq!(c.admit_coalesce, None);
         assert!(!c.rebalance.enabled);
         // A default config installs no process overrides and its admission
-        // view matches the env-derived default.
+        // view is the constant default.
         assert_eq!(c.admission(), AdmissionConfig::default());
     }
 
@@ -420,7 +434,6 @@ mod tests {
             .bloom_bits(8)
             .par_cutoff(1)
             .arena(true)
-            .arena_chunk_words(0) // clamped to 1
             .admit_queue_capacity(0) // clamped to 1
             .admit_coalesce(false)
             .rebalance(RebalanceConfig {
@@ -431,7 +444,6 @@ mod tests {
         assert_eq!(c.bloom_bits, Some(8));
         assert_eq!(c.par_cutoff, Some(1));
         assert_eq!(c.arena, Some(true));
-        assert_eq!(c.arena_chunk_words, Some(1));
         assert_eq!(c.admit_queue_capacity, Some(1));
         assert_eq!(c.admit_coalesce, Some(false));
         assert!(c.rebalance.enabled);
@@ -458,7 +470,6 @@ mod tests {
             ("LSM_BLOOM_BITS", "8"),
             ("LSM_PAR_CUTOFF", " 64 "),
             ("LSM_ARENA", "0"),
-            ("LSM_ARENA_CHUNK", "4096"),
             ("LSM_ADMIT_QUEUE", "32"),
             ("LSM_ADMIT_COALESCE", "0"),
             ("LSM_SUBMIT_TIMEOUT_MS", "250"),
@@ -470,9 +481,9 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(c.bloom_bits, Some(8));
-        assert_eq!(c.par_cutoff, Some(64));
+        // The worker pool reads LSM_PAR_CUTOFF itself; the config does not.
+        assert_eq!(c.par_cutoff, None);
         assert_eq!(c.arena, Some(false));
-        assert_eq!(c.arena_chunk_words, Some(4096));
         assert_eq!(c.admit_queue_capacity, Some(32));
         assert_eq!(c.admit_coalesce, Some(false));
         assert_eq!(c.submit_timeout, Some(Duration::from_millis(250)));
@@ -520,9 +531,7 @@ mod tests {
         }
         for (var, bad) in [
             ("LSM_BLOOM_BITS", "eight"),
-            ("LSM_PAR_CUTOFF", "-1"),
             ("LSM_ARENA", "yes"),
-            ("LSM_ARENA_CHUNK", "1MB"),
             ("LSM_ADMIT_COALESCE", "off"),
             ("LSM_SUBMIT_TIMEOUT_MS", "fast"),
             ("LSM_FLUSH_TIMEOUT_MS", "1.5"),
@@ -544,7 +553,7 @@ mod tests {
     #[test]
     fn from_env_rejects_nonsensical_settings() {
         for (var, bad) in [
-            ("LSM_ARENA_CHUNK", "0"),
+            ("LSM_BLOOM_BITS", "65"),
             ("LSM_ADMIT_QUEUE", "0"),
             ("LSM_SUBMIT_TIMEOUT_MS", "0"),
             ("LSM_FLUSH_TIMEOUT_MS", "0"),
@@ -575,6 +584,34 @@ mod tests {
         assert_eq!(c.durability, None);
         assert!(LsmConfig::from_env_lookup(env_of(&[("LSM_WAL_RETRIES", "nope")])).is_err());
         assert!(LsmConfig::from_env_lookup(env_of(&[("LSM_WAL_DEGRADE", "nope")])).is_err());
+    }
+
+    #[test]
+    fn explicit_fields_win_over_the_environment_and_unset_ones_stay_default() {
+        let env = LsmConfig::from_env_lookup(env_of(&[
+            ("LSM_BLOOM_BITS", "0"),
+            ("LSM_ADMIT_QUEUE", "32"),
+            ("LSM_ADMIT_COALESCE", "0"),
+            ("LSM_WAL_DIR", "/tmp/lsm-wal"),
+        ]))
+        .unwrap();
+        let explicit = LsmConfig::default().bloom_bits(12).par_cutoff(64);
+        let resolved = explicit.with_fallback(env);
+        assert_eq!(resolved.bloom_bits, Some(12));
+        assert_eq!(resolved.admit_queue_capacity, Some(32));
+        assert_eq!(resolved.admit_coalesce, Some(false));
+        // Unset in both layers: left to the constant default.
+        assert_eq!(resolved.arena, None);
+        assert_eq!(resolved.submit_timeout, None);
+        // Explicit-only fields pass through: the environment's WAL
+        // directory only reaches a config through from_env itself.
+        assert_eq!(resolved.par_cutoff, Some(64));
+        assert_eq!(resolved.durability, None);
+        let ac = resolved.admission();
+        assert_eq!(ac.queue_capacity, 32);
+        assert!(!ac.coalesce);
+        // Resolving a resolved config changes nothing.
+        assert_eq!(resolved.with_fallback(LsmConfig::default()), resolved);
     }
 
     #[test]

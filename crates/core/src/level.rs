@@ -13,7 +13,8 @@
 //! path's sort/merge or a bulk rebuild, never on the query path):
 //!
 //! * a blocked **Bloom filter** over the level's original keys
-//!   ([`gpu_primitives::filter`], sized by `LSM_BLOOM_BITS`), and
+//!   ([`gpu_primitives::filter`], sized by the owning structure's
+//!   `bloom_bits`), and
 //! * a **fence array** ([`gpu_primitives::fence`]) sampling every 256th
 //!   key, which narrows every binary search to one ≤ 256-element window and
 //!   exposes the level's min/max key for level/shard skipping.
@@ -41,7 +42,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use gpu_primitives::fence::FenceArray;
-use gpu_primitives::filter::{config_bits_per_key, BloomFilter};
+use gpu_primitives::filter::BloomFilter;
 
 use crate::arena::{RegionSpan, Storage};
 use crate::key::{key_less, original_key, EncodedKey, Key, Value};
@@ -118,7 +119,7 @@ pub struct Level {
 }
 
 /// Level equality is over contents only; the filter and fences are a pure
-/// function of the keys (plus process-wide sizing) and are excluded so that
+/// function of the keys (plus the owner's filter sizing) and are excluded so that
 /// filters-on and filters-off structures holding the same data compare equal.
 /// The id is excluded too: separately built levels with the same contents
 /// are equal.
@@ -134,9 +135,22 @@ impl Eq for Level {}
 impl Level {
     /// Build a long-lived level (bulk build, cleanup redistribution) from
     /// already-sorted parallel key/value arrays: fences always, a Bloom
-    /// filter from [`FILTER_MIN_LEN`] elements up.
-    pub fn from_sorted(keys: Vec<EncodedKey>, values: Vec<Value>) -> Self {
-        Self::build(keys, values, FILTER_MIN_LEN)
+    /// filter of `bloom_bits` bits per key from [`FILTER_MIN_LEN`] elements
+    /// up (none when `bloom_bits` is 0).  Both structures are built here,
+    /// in one streaming pass over the freshly produced keys, and are never
+    /// touched again until the level is consumed by a merge.
+    pub fn from_sorted(keys: Vec<EncodedKey>, values: Vec<Value>, bloom_bits: u32) -> Self {
+        let filter = if keys.len() >= FILTER_MIN_LEN {
+            BloomFilter::build(keys.iter().map(|&k| original_key(k)), bloom_bits)
+        } else {
+            None
+        };
+        let fences = FenceArray::build_with(
+            keys.len(),
+            gpu_primitives::fence::DEFAULT_FENCE_INTERVAL,
+            |i| original_key(keys[i]),
+        );
+        Self::from_sorted_with_aux(keys, values, filter, fences)
     }
 
     /// Assemble a level from already-sorted arrays **and** pre-built
@@ -172,23 +186,6 @@ impl Level {
             filter,
             fences,
         }
-    }
-
-    /// Shared constructor: the query-acceleration structures are built
-    /// here, in one streaming pass over the freshly produced keys, and are
-    /// never touched again until the level is consumed by a merge.
-    fn build(keys: Vec<EncodedKey>, values: Vec<Value>, filter_min_len: usize) -> Self {
-        let filter = if keys.len() >= filter_min_len {
-            BloomFilter::build(keys.iter().map(|&k| original_key(k)), config_bits_per_key())
-        } else {
-            None
-        };
-        let fences = FenceArray::build_with(
-            keys.len(),
-            gpu_primitives::fence::DEFAULT_FENCE_INTERVAL,
-            |i| original_key(keys[i]),
-        );
-        Self::from_sorted_with_aux(keys, values, filter, fences)
     }
 
     /// The level's identity: equal ids imply equal contents (see the
@@ -512,11 +509,12 @@ impl LevelSet {
 mod tests {
     use super::*;
     use crate::key::encode_regular;
+    use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 
     fn level_of(keys: &[u32]) -> Level {
         let encoded: Vec<u32> = keys.iter().map(|&k| encode_regular(k)).collect();
         let values: Vec<u32> = keys.iter().map(|&k| k * 10).collect();
-        Level::from_sorted(encoded, values)
+        Level::from_sorted(encoded, values, DEFAULT_BITS_PER_KEY)
     }
 
     #[test]
@@ -625,7 +623,7 @@ mod tests {
         }
         encoded.push(encode_tombstone(MAX_KEY));
         let values = vec![0u32; encoded.len()];
-        let fenced = Level::from_sorted(encoded.clone(), values.clone());
+        let fenced = Level::from_sorted(encoded.clone(), values.clone(), DEFAULT_BITS_PER_KEY);
         let unfenced = Level::from_sorted_with_aux(encoded.clone(), values, None, None);
         let max = 1000 + 3 * 19_999;
         let edges = [
@@ -686,9 +684,7 @@ mod tests {
         // Large enough for a long-lived level to build its filter.
         let keys: Vec<u32> = (0..(super::FILTER_MIN_LEN as u32)).map(|i| i * 2).collect();
         let level = level_of(&keys);
-        if gpu_primitives::filter::config_bits_per_key() > 0 {
-            assert!(level.filter().is_some(), "long-lived level builds a filter");
-        }
+        assert!(level.filter().is_some(), "long-lived level builds a filter");
         let hit = level.find(10);
         assert_eq!(hit.entry, Some((encode_regular(10), 100)));
         assert!(!hit.filter_skipped);
@@ -713,9 +709,12 @@ mod tests {
         assert!(level.search_probe_depth() <= 10);
         let (filter_bytes, fence_bytes) = level.accel_bytes();
         assert!(fence_bytes > 0);
-        if level.filter().is_some() {
-            assert!(filter_bytes > 0);
-        }
+        assert!(filter_bytes > 0);
+        // The same keys at zero bits per key: fences only.
+        let encoded: Vec<u32> = keys.iter().map(|&k| encode_regular(k)).collect();
+        let unfiltered = Level::from_sorted(encoded, vec![0; keys.len()], 0);
+        assert!(unfiltered.filter().is_none());
+        assert!(unfiltered.fences().is_some());
     }
 
     #[test]
@@ -729,7 +728,7 @@ mod tests {
             encode_regular(5),
             encode_regular(9),
         ];
-        let level = Level::from_sorted(keys, vec![10, 0, 50, 90]);
+        let level = Level::from_sorted(keys, vec![10, 0, 50, 90], DEFAULT_BITS_PER_KEY);
         let probe = level.find(5);
         assert_eq!(probe.entry, Some((encode_tombstone(5), 0)));
         assert_eq!(level.min_key(), 1);

@@ -19,34 +19,16 @@
 
 use std::sync::Arc;
 
+use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_primitives::radix_sort::sort_pairs;
 use gpu_sim::Device;
 
-use crate::arena::Arena;
+use crate::arena::{Arena, DEFAULT_CHUNK_WORDS};
 use crate::batch::UpdateBatch;
+use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
 use crate::key::{encode_regular, placebo, EncodedKey, Key, Value, MAX_KEY};
 use crate::level::{Level, LevelSet};
-
-/// Lenient env fallback for the arena master switch (`LSM_ARENA`; default
-/// on).  The strict, erroring parse of the same knob lives in
-/// [`crate::LsmConfig::from_env`]; this per-module fallback follows the
-/// repo convention of ignoring unparsable values.
-fn arena_enabled_from_env() -> bool {
-    match std::env::var("LSM_ARENA") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
-}
-
-/// Lenient env fallback for the arena chunk size in words
-/// (`LSM_ARENA_CHUNK`; 0 = the built-in default).
-fn arena_chunk_words_from_env() -> usize {
-    std::env::var("LSM_ARENA_CHUNK")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
 
 /// The GPU LSM: a dynamic dictionary with batched updates and parallel
 /// queries.
@@ -69,6 +51,9 @@ pub struct GpuLsm {
     /// disabled, levels own plain vectors).  Shared across clones of the
     /// handle; cloned levels deep-copy out of the arena.
     pub(crate) arena: Option<Arc<Arena>>,
+    /// Bloom filter bits per key of every level this structure builds
+    /// (0 = no filters), fixed at construction.
+    pub(crate) bloom_bits: u32,
     /// Reusable batch-encode buffers: [`GpuLsm::update`] encodes into these
     /// and the carry chain hands the consumed buffer back after its first
     /// merge step, so steady-state submits re-encode into the same
@@ -77,12 +62,35 @@ pub struct GpuLsm {
 }
 
 impl GpuLsm {
-    /// Create an empty GPU LSM with batch size `b` on `device`.
+    /// Create an empty GPU LSM with batch size `b` on `device`, configured
+    /// by the `LSM_*` environment and the built-in defaults.
     ///
     /// The batch size is fixed for the lifetime of the structure (paper
     /// §III-A rule 1) and trades update against query performance: larger
     /// batches mean fewer occupied levels for the same number of elements.
     pub fn new(device: Arc<Device>, batch_size: usize) -> Result<Self> {
+        Self::with_config(device, batch_size, &LsmConfig::default())
+    }
+
+    /// Create an empty GPU LSM configured by an explicit [`LsmConfig`]:
+    /// fields it leaves unset fall back to the `LSM_*` environment and then
+    /// to the built-in defaults, resolved once, here.  Only the config's
+    /// `par_cutoff` reaches beyond this structure (see
+    /// [`LsmConfig::apply_process_overrides`]).
+    pub fn with_config(device: Arc<Device>, batch_size: usize, config: &LsmConfig) -> Result<Self> {
+        config.apply_process_overrides();
+        Self::from_resolved(device, batch_size, &config.resolve()?)
+    }
+
+    /// An empty LSM built from a config a public constructor already
+    /// resolved (so no environment read): sharded services build, split,
+    /// merge and recover every shard through this with their one resolved
+    /// config.
+    pub(crate) fn from_resolved(
+        device: Arc<Device>,
+        batch_size: usize,
+        config: &LsmConfig,
+    ) -> Result<Self> {
         if batch_size == 0 {
             return Err(LsmError::InvalidBatchSize { batch_size });
         }
@@ -94,57 +102,47 @@ impl GpuLsm {
             filter_activity: Arc::default(),
             merge_activity: Arc::default(),
             op_activity: Arc::default(),
-            arena: arena_enabled_from_env().then(|| Arena::new(arena_chunk_words_from_env())),
+            arena: config
+                .arena
+                .unwrap_or(true)
+                .then(|| Arena::new(DEFAULT_CHUNK_WORDS)),
+            bloom_bits: config.bloom_bits.unwrap_or(DEFAULT_BITS_PER_KEY),
             encode_scratch: (Vec::new(), Vec::new()),
         })
-    }
-
-    /// Create an empty GPU LSM configured by an explicit [`crate::LsmConfig`]
-    /// instead of the `LSM_*` env fallbacks.  Per-instance knobs (`arena`,
-    /// `arena_chunk_words`) apply only to this structure; the process-wide
-    /// knobs the config carries (`bloom_bits`, `par_cutoff`) are installed
-    /// globally — see [`crate::LsmConfig::apply_process_overrides`].
-    pub fn with_config(
-        device: Arc<Device>,
-        batch_size: usize,
-        config: &crate::config::LsmConfig,
-    ) -> Result<Self> {
-        config.apply_process_overrides();
-        let mut lsm = GpuLsm::new(device, batch_size)?;
-        lsm.apply_instance_config(config);
-        Ok(lsm)
-    }
-
-    /// Apply a config's per-instance knobs to this structure, overriding
-    /// the env-derived defaults `GpuLsm::new` installed.  Also used when a
-    /// sharded LSM rebuilds a shard (split/merge/rebalance), so replacement
-    /// shards keep the parent table's configuration instead of silently
-    /// reverting to the env knobs.
-    pub(crate) fn apply_instance_config(&mut self, config: &crate::config::LsmConfig) {
-        match (config.arena, config.arena_chunk_words) {
-            // Explicitly disabled: drop the env-derived arena.
-            (Some(false), _) => self.arena = None,
-            // Explicitly enabled and/or explicitly sized: build fresh so
-            // the configured chunk size wins over the env fallback.
-            (Some(true), chunk) => self.arena = Some(Arena::new(chunk.unwrap_or(0))),
-            (None, Some(chunk)) => {
-                if self.arena.is_some() {
-                    self.arena = Some(Arena::new(chunk));
-                }
-            }
-            (None, None) => {}
-        }
     }
 
     /// Bulk-build an LSM from an arbitrary set of key–value pairs
     /// (paper §V-B "bulk build"): one device-wide radix sort, padding with
     /// placebo elements up to a multiple of `b`, then slicing the sorted
     /// array into levels according to the binary representation of the
-    /// number of batches.
+    /// number of batches.  Configured like [`GpuLsm::new`].
     pub fn bulk_build(
         device: Arc<Device>,
         batch_size: usize,
         pairs: &[(Key, Value)],
+    ) -> Result<Self> {
+        Self::bulk_build_with_config(device, batch_size, pairs, &LsmConfig::default())
+    }
+
+    /// [`GpuLsm::bulk_build`] configured by an explicit [`LsmConfig`], the
+    /// way [`GpuLsm::with_config`] configures an empty structure.
+    pub fn bulk_build_with_config(
+        device: Arc<Device>,
+        batch_size: usize,
+        pairs: &[(Key, Value)],
+        config: &LsmConfig,
+    ) -> Result<Self> {
+        config.apply_process_overrides();
+        Self::bulk_build_resolved(device, batch_size, pairs, &config.resolve()?)
+    }
+
+    /// [`GpuLsm::bulk_build`] from an already-resolved config (see
+    /// [`GpuLsm::from_resolved`]).
+    pub(crate) fn bulk_build_resolved(
+        device: Arc<Device>,
+        batch_size: usize,
+        pairs: &[(Key, Value)],
+        config: &LsmConfig,
     ) -> Result<Self> {
         if batch_size == 0 {
             return Err(LsmError::InvalidBatchSize { batch_size });
@@ -152,7 +150,7 @@ impl GpuLsm {
         if let Some(&(k, _)) = pairs.iter().find(|(k, _)| *k > MAX_KEY) {
             return Err(LsmError::KeyOutOfRange { key: k });
         }
-        let mut lsm = GpuLsm::new(device, batch_size)?;
+        let mut lsm = GpuLsm::from_resolved(device, batch_size, config)?;
         if pairs.is_empty() {
             return Ok(lsm);
         }
@@ -189,7 +187,7 @@ impl GpuLsm {
                 let len = self.batch_size << bit;
                 let level_keys = keys[offset..offset + len].to_vec();
                 let level_values = values[offset..offset + len].to_vec();
-                let level = Level::from_sorted(level_keys, level_values);
+                let level = Level::from_sorted(level_keys, level_values, self.bloom_bits);
                 self.record_accel_build(&level);
                 self.levels.place(bit as usize, level);
                 offset += len;
@@ -335,14 +333,16 @@ impl GpuLsm {
     /// `(index, encoded keys, values)` triple becomes level `index`
     /// verbatim, so the recovered structure is element-identical to the
     /// snapshotted one.  Acceleration structures (filters, fences) are
-    /// derived data and rebuilt; `num_batches` follows from the occupied
-    /// level indices (level `i` holds `b·2^i` elements, §III-A).
+    /// derived data and rebuilt at the resolved `config`'s sizing;
+    /// `num_batches` follows from the occupied level indices (level `i`
+    /// holds `b·2^i` elements, §III-A).
     pub(crate) fn from_levels(
         device: Arc<Device>,
         batch_size: usize,
         levels: Vec<(usize, Vec<EncodedKey>, Vec<Value>)>,
+        config: &LsmConfig,
     ) -> Result<Self> {
-        let mut lsm = GpuLsm::new(device, batch_size)?;
+        let mut lsm = GpuLsm::from_resolved(device, batch_size, config)?;
         let mut num_batches = 0usize;
         for (i, keys, values) in levels {
             let expected = batch_size
@@ -363,7 +363,7 @@ impl GpuLsm {
                     context: format!("level {i} appears twice in the snapshot"),
                 });
             }
-            let level = Level::from_sorted(keys, values);
+            let level = Level::from_sorted(keys, values, lsm.bloom_bits);
             lsm.record_accel_build(&level);
             lsm.levels.place(i, level);
             num_batches += 1 << i;

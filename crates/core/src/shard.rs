@@ -235,8 +235,10 @@ impl ShardedLsm {
     }
 
     /// Create an empty sharded LSM with `num_shards` uniform shards,
-    /// configured by an explicit [`LsmConfig`] (per-instance knobs apply to
-    /// every shard; the config's process-wide knobs are installed globally).
+    /// configured by an explicit [`LsmConfig`]: resolved once, here (unset
+    /// fields from the `LSM_*` environment, then the defaults), and applied
+    /// to every shard this service ever builds; only `par_cutoff` reaches
+    /// beyond the service (see [`LsmConfig::apply_process_overrides`]).
     pub fn with_config(
         device: Arc<gpu_sim::Device>,
         batch_size: usize,
@@ -255,30 +257,39 @@ impl ShardedLsm {
         router: ShardRouter,
         config: LsmConfig,
     ) -> Result<Self> {
-        Self::build(device, batch_size, router, config, None)
+        Self::build(device, batch_size, router, config.resolve()?, None)
     }
 
     /// Bulk-build a sharded LSM from arbitrary key–value pairs: the pairs
     /// are partitioned by shard and each shard is bulk-built independently
-    /// (in parallel).
+    /// (in parallel).  Configured like [`ShardedLsm::new`].
     pub fn bulk_build(
         device: Arc<gpu_sim::Device>,
         batch_size: usize,
         num_shards: usize,
         pairs: &[(Key, Value)],
     ) -> Result<Self> {
-        Self::build(
-            device,
-            batch_size,
-            ShardRouter::new(num_shards)?,
-            LsmConfig::default(),
-            Some(pairs),
-        )
+        Self::bulk_build_with_config(device, batch_size, num_shards, pairs, LsmConfig::default())
     }
 
-    /// Shared constructor body: validate, install process overrides, build
-    /// the initial routing table (from `pairs` when given).
-    fn build(
+    /// [`ShardedLsm::bulk_build`] configured by an explicit [`LsmConfig`],
+    /// the way [`ShardedLsm::with_config`] configures an empty service.
+    pub fn bulk_build_with_config(
+        device: Arc<gpu_sim::Device>,
+        batch_size: usize,
+        num_shards: usize,
+        pairs: &[(Key, Value)],
+        config: LsmConfig,
+    ) -> Result<Self> {
+        let router = ShardRouter::new(num_shards)?;
+        let config = config.resolve()?;
+        Self::build(device, batch_size, router, config, Some(pairs))
+    }
+
+    /// Shared constructor body over a config a public constructor already
+    /// resolved: validate, install the process-wide cutoff, build the
+    /// initial routing table (from `pairs` when given).
+    pub(crate) fn build(
         device: Arc<gpu_sim::Device>,
         batch_size: usize,
         router: ShardRouter,
@@ -302,8 +313,8 @@ impl ShardedLsm {
         let shards: Vec<Result<ConcurrentGpuLsm>> = per_shard
             .par_iter()
             .map(|shard_pairs| {
-                let mut lsm = GpuLsm::bulk_build(device.clone(), batch_size, shard_pairs)?;
-                lsm.apply_instance_config(&config);
+                let lsm =
+                    GpuLsm::bulk_build_resolved(device.clone(), batch_size, shard_pairs, &config)?;
                 Ok(ConcurrentGpuLsm::new(lsm))
             })
             .collect();
@@ -325,9 +336,9 @@ impl ShardedLsm {
     }
 
     /// Reassemble a sharded service from recovered per-shard structures
-    /// (crash recovery): router, shard contents and epoch come from a
-    /// persisted manifest, so routing and data match the snapshotted
-    /// service exactly.  The epoch is carried over to stay monotonic
+    /// (crash recovery), built with the same resolved `config`: router,
+    /// shard contents and epoch come from a persisted manifest, so routing
+    /// and data match the snapshotted service exactly.  The epoch is carried over to stay monotonic
     /// across restarts; shard ids restart from `0..n` (the admission
     /// layer is reconstructed after recovery, so no queue identity needs
     /// to survive).
@@ -353,13 +364,7 @@ impl ShardedLsm {
         }
         config.apply_process_overrides();
         let num_shards = shards.len();
-        let shards: Vec<ConcurrentGpuLsm> = shards
-            .into_iter()
-            .map(|mut lsm| {
-                lsm.apply_instance_config(&config);
-                ConcurrentGpuLsm::new(lsm)
-            })
-            .collect();
+        let shards: Vec<ConcurrentGpuLsm> = shards.into_iter().map(ConcurrentGpuLsm::new).collect();
         Ok(ShardedLsm {
             device,
             batch_size,
@@ -401,7 +406,9 @@ impl ShardedLsm {
         self.table.read().epoch
     }
 
-    /// The configuration this service was constructed with.
+    /// The configuration this service was constructed with, resolved:
+    /// fields the constructor's config left unset hold what the `LSM_*`
+    /// environment set then, and fields still `None` take their defaults.
     pub fn config(&self) -> &LsmConfig {
         &self.config
     }
@@ -660,11 +667,11 @@ impl ShardedLsm {
         keys.iter().copied().zip(values.iter().copied()).collect()
     }
 
-    /// Bulk-build one replacement shard from extracted pairs, inheriting
-    /// the service's per-instance config.
+    /// Bulk-build one replacement shard from extracted pairs with the
+    /// service's resolved config.
     fn build_shard(&self, pairs: &[(Key, Value)]) -> Result<ConcurrentGpuLsm> {
-        let mut lsm = GpuLsm::bulk_build(self.device.clone(), self.batch_size, pairs)?;
-        lsm.apply_instance_config(&self.config);
+        let lsm =
+            GpuLsm::bulk_build_resolved(self.device.clone(), self.batch_size, pairs, &self.config)?;
         Ok(ConcurrentGpuLsm::new(lsm))
     }
 

@@ -9,7 +9,10 @@
 
 use std::sync::Arc;
 
-use gpu_lsm::{AdmissionConfig, AdmittedLsm, Op, ShardedLsm, UpdateBatch, MAX_KEY};
+use gpu_lsm::{
+    AdmissionConfig, AdmittedLsm, GpuLsm, LsmConfig, Op, ShardedLsm, UpdateBatch, MAX_KEY,
+};
+use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 
@@ -220,4 +223,31 @@ fn concurrent_submitters_drain_to_a_consistent_state() {
         stats.coalesced_batches > 0,
         "sustained traffic must coalesce"
     );
+}
+
+/// Config-less constructors take what `LsmConfig::from_env` reads, so the
+/// CI jobs that set `LSM_BLOOM_BITS=0` or `LSM_ADMIT_COALESCE=0` really
+/// reach the structures they build (and this fails loudly if they stop).
+#[test]
+fn config_less_constructors_take_the_environment() {
+    let env = LsmConfig::from_env().unwrap();
+    let bits = env.bloom_bits.unwrap_or(DEFAULT_BITS_PER_KEY);
+    // 2^12 keys at b = 1024: one bulk-built level, above the filter minimum.
+    let pairs: Vec<(u32, u32)> = (0..1u32 << 12).map(|k| (k * 3, k)).collect();
+    let lsm = GpuLsm::bulk_build(device(), 1024, &pairs).unwrap();
+    let (_, level) = lsm.levels().iter_occupied().next().unwrap();
+    assert_eq!(
+        level.filter().is_some(),
+        bits > 0,
+        "resolved {bits} bits/key"
+    );
+    let sharded = ShardedLsm::bulk_build(device(), 1024, 1, &pairs).unwrap();
+    assert_eq!(sharded.stats().filter_bytes > 0, bits > 0);
+
+    let admitted = AdmittedLsm::new(ShardedLsm::new(device(), 64, 2).unwrap());
+    assert_eq!(
+        admitted.config().coalesce,
+        env.admit_coalesce != Some(false)
+    );
+    assert_eq!(*admitted.config(), env.admission());
 }

@@ -5,16 +5,16 @@
 //! would, filters never produce a false negative — and the merge counters
 //! must prove the incremental path is actually the one taken.
 //!
-//! The carry-chain filter threshold and the filter sizing are process-global
-//! knobs, so the tests that force them serialise on a mutex and restore the
-//! defaults on drop (same pattern as `query_accel.rs`).
+//! The filter sizing is per instance (`bloom_bits`), but the carry-chain
+//! filter threshold is a process-global test knob, so the tests that force
+//! it serialise on a mutex and restore the default on drop.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use gpu_lsm::level::set_carry_filter_min_len_override;
-use gpu_lsm::{GpuLsm, Op, UpdateBatch};
-use gpu_primitives::filter::{set_bloom_bits_override, DEFAULT_BITS_PER_KEY};
+use gpu_lsm::{GpuLsm, LsmConfig, Op, UpdateBatch};
+use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 
@@ -22,8 +22,8 @@ fn device() -> Arc<Device> {
     Arc::new(Device::new(DeviceConfig::small()))
 }
 
-/// Serialises the tests that flip process-global overrides and restores
-/// the defaults on drop.
+/// Serialises the tests that flip the carry-chain filter threshold and
+/// restores the default on drop.
 struct OverrideGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl OverrideGuard {
@@ -35,9 +35,13 @@ impl OverrideGuard {
 
 impl Drop for OverrideGuard {
     fn drop(&mut self) {
-        set_bloom_bits_override(None);
         set_carry_filter_min_len_override(None);
     }
+}
+
+/// Filters at the default sizing, whatever `LSM_BLOOM_BITS` says.
+fn filters_on() -> LsmConfig {
+    LsmConfig::default().bloom_bits(DEFAULT_BITS_PER_KEY)
 }
 
 /// Assert that every occupied level's incrementally maintained structures
@@ -174,13 +178,12 @@ fn deep_carry_chains_stay_exact_and_respect_the_window_guard() {
 #[test]
 fn incremental_filter_maintenance_is_taken_and_exact() {
     let _guard = OverrideGuard::lock();
-    set_bloom_bits_override(Some(DEFAULT_BITS_PER_KEY));
     // Force carry-chain levels to build filters from 128 elements up, so
     // the final merge step of every deep-enough carry re-uses the consumed
     // level's filter instead of rebuilding.
     set_carry_filter_min_len_override(Some(128));
 
-    let mut lsm = GpuLsm::new(device(), 128).unwrap();
+    let mut lsm = GpuLsm::with_config(device(), 128, &filters_on()).unwrap();
     let mut model: BTreeMap<u32, u32> = BTreeMap::new();
     for b in 0..16u32 {
         let pairs: Vec<(u32, u32)> = (0..128u32)
@@ -220,10 +223,9 @@ fn incremental_filter_maintenance_is_taken_and_exact() {
 #[test]
 fn planner_decides_filters_before_data_moves() {
     let _guard = OverrideGuard::lock();
-    set_bloom_bits_override(Some(DEFAULT_BITS_PER_KEY));
     set_carry_filter_min_len_override(Some(256));
 
-    let mut lsm = GpuLsm::new(device(), 128).unwrap();
+    let mut lsm = GpuLsm::with_config(device(), 128, &filters_on()).unwrap();
     // First batch lands at level 0 (128 < 256): plan says no filter.
     let plan = lsm.plan_next_insert();
     assert!(!plan.build_filter);

@@ -1,18 +1,17 @@
 //! Differential suite for the query-acceleration subsystem: a structure
-//! built with Bloom filters disabled (`LSM_BLOOM_BITS=0`) and one built
-//! with filters enabled must return **byte-identical** answers to every
-//! query on every workload — filters and fences are conservative
-//! accelerators, never semantics.
+//! built with Bloom filters disabled (`bloom_bits(0)`) and one built with
+//! filters enabled must return **byte-identical** answers to every query on
+//! every workload — filters and fences are conservative accelerators, never
+//! semantics.
 //!
-//! The filter sizing is process-global (an env knob), so the two structures
-//! are built by toggling the test override around each update; the tests in
-//! this file serialise on a mutex to keep the toggling race-free.
+//! Filter sizing is per instance, so the two structures live side by side
+//! with their own configs, whatever `LSM_BLOOM_BITS` says.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use gpu_lsm::{GpuLsm, Op, ShardedLsm, UpdateBatch, MAX_KEY};
-use gpu_primitives::filter::{set_bloom_bits_override, DEFAULT_BITS_PER_KEY};
+use gpu_lsm::{GpuLsm, LsmConfig, Op, ShardedLsm, UpdateBatch, MAX_KEY};
+use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 
@@ -20,35 +19,16 @@ fn device() -> Arc<Device> {
     Arc::new(Device::new(DeviceConfig::small()))
 }
 
-/// Serialises the tests in this file (they all flip the process-global
-/// filter sizing) and restores the environment-derived sizing on drop.
-struct OverrideGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl OverrideGuard {
-    fn lock() -> Self {
-        static GATE: Mutex<()> = Mutex::new(());
-        OverrideGuard(GATE.lock().unwrap_or_else(|e| e.into_inner()))
-    }
+/// Filters disabled for the structure built with this config.
+fn filters_off() -> LsmConfig {
+    LsmConfig::default().bloom_bits(0)
 }
 
-impl Drop for OverrideGuard {
-    fn drop(&mut self) {
-        set_bloom_bits_override(None);
-    }
-}
-
-/// Apply `f` with filters forced *off*.
-fn filters_off<R>(f: impl FnOnce() -> R) -> R {
-    set_bloom_bits_override(Some(0));
-    f()
-}
-
-/// Apply `f` with filters forced *on* (default sizing, independent of the
-/// `LSM_BLOOM_BITS` environment — the CI filters-off job still exercises
-/// the enabled side here).
-fn filters_on<R>(f: impl FnOnce() -> R) -> R {
-    set_bloom_bits_override(Some(DEFAULT_BITS_PER_KEY));
-    f()
+/// Filters at the default sizing for the structure built with this config,
+/// independent of the `LSM_BLOOM_BITS` environment (the CI filters-off job
+/// still exercises the enabled side here).
+fn filters_on() -> LsmConfig {
+    LsmConfig::default().bloom_bits(DEFAULT_BITS_PER_KEY)
 }
 
 /// Compare every query surface of two structures that must hold identical
@@ -99,10 +79,9 @@ proptest! {
     fn filters_on_and_off_are_byte_identical(
         batches in proptest::collection::vec(arb_batch(48, 600), 1..8)
     ) {
-        let _guard = OverrideGuard::lock();
         let batch_size = 48;
-        let mut off = filters_off(|| GpuLsm::new(device(), batch_size).unwrap());
-        let mut on = filters_on(|| GpuLsm::new(device(), batch_size).unwrap());
+        let mut off = GpuLsm::with_config(device(), batch_size, &filters_off()).unwrap();
+        let mut on = GpuLsm::with_config(device(), batch_size, &filters_on()).unwrap();
         let mut reference: BTreeMap<u32, u32> = BTreeMap::new();
 
         for ops in &batches {
@@ -114,15 +93,15 @@ proptest! {
                     Op::Delete(k) => { reference.remove(k); }
                 }
             }
-            filters_off(|| off.update(&batch).unwrap());
-            filters_on(|| on.update(&batch).unwrap());
+            off.update(&batch).unwrap();
+            on.update(&batch).unwrap();
             assert_identical_answers(&off, &on, 600);
         }
 
         // Spot-check against the reference model so "identical" can never
         // mean "identically wrong".
         let queries: Vec<u32> = (0..600).collect();
-        let results = filters_on(|| on.lookup(&queries));
+        let results = on.lookup(&queries);
         for (q, got) in queries.iter().zip(results.iter()) {
             prop_assert_eq!(*got, reference.get(q).copied(), "lookup({})", q);
         }
@@ -133,13 +112,12 @@ proptest! {
 
 #[test]
 fn bulk_build_and_cleanup_paths_are_differentially_identical() {
-    let _guard = OverrideGuard::lock();
     // 3000 pairs at b = 512 → 6 batches → levels 1 (1024) and 2 (2048),
     // both above the long-lived filter threshold, so the filters-on side
     // really carries filters here.
     let pairs: Vec<(u32, u32)> = (0..3000u32).map(|k| (k * 7 % 5000, k)).collect();
-    let mut off = filters_off(|| GpuLsm::bulk_build(device(), 512, &pairs).unwrap());
-    let mut on = filters_on(|| GpuLsm::bulk_build(device(), 512, &pairs).unwrap());
+    let mut off = GpuLsm::bulk_build_with_config(device(), 512, &pairs, &filters_off()).unwrap();
+    let mut on = GpuLsm::bulk_build_with_config(device(), 512, &pairs, &filters_on()).unwrap();
     assert!(
         on.stats().filter_bytes > 0,
         "bulk-built levels must carry filters when enabled"
@@ -150,13 +128,16 @@ fn bulk_build_and_cleanup_paths_are_differentially_identical() {
     // Delete a stripe, then cleanup (the other filter-building rebuild
     // path); answers must stay identical through both.
     let doomed: Vec<u32> = (0..512u32).map(|i| i * 9 % 5000).collect();
-    filters_off(|| off.delete(&doomed).unwrap());
-    filters_on(|| on.delete(&doomed).unwrap());
+    off.delete(&doomed).unwrap();
+    on.delete(&doomed).unwrap();
     assert_identical_answers(&off, &on, 5000);
-    filters_off(|| off.cleanup());
-    filters_on(|| on.cleanup());
+    off.cleanup();
+    on.cleanup();
     assert_identical_answers(&off, &on, 5000);
     on.check_invariants().unwrap();
+    // Cleanup rebuilt both sides at their own sizing.
+    assert_eq!(off.stats().filter_bytes, 0);
+    assert!(on.stats().filter_bytes > 0);
 
     // The filters-on side actually consulted (and skipped with) its
     // filters during the miss-heavy query batches above.
@@ -168,12 +149,11 @@ fn bulk_build_and_cleanup_paths_are_differentially_identical() {
 
 #[test]
 fn sharded_service_is_differentially_identical() {
-    let _guard = OverrideGuard::lock();
     let pairs: Vec<(u32, u32)> = (0..4096u32)
         .map(|i| (i.wrapping_mul(2_654_435_761) & 0x7FFF_FFFF, i))
         .collect();
-    let off = filters_off(|| ShardedLsm::bulk_build(device(), 512, 4, &pairs).unwrap());
-    let on = filters_on(|| ShardedLsm::bulk_build(device(), 512, 4, &pairs).unwrap());
+    let off = ShardedLsm::bulk_build_with_config(device(), 512, 4, &pairs, filters_off()).unwrap();
+    let on = ShardedLsm::bulk_build_with_config(device(), 512, 4, &pairs, filters_on()).unwrap();
     let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).chain(0..100).collect();
     assert_eq!(off.lookup(&keys), on.lookup(&keys));
     let intervals: Vec<(u32, u32)> = (0..16)
@@ -185,5 +165,6 @@ fn sharded_service_is_differentially_identical() {
     assert_eq!(off.successor(&probes), on.successor(&probes));
     assert_eq!(off.predecessor(&probes), on.predecessor(&probes));
     assert!(on.stats().filter_bytes > 0);
+    assert_eq!(off.stats().filter_bytes, 0);
     on.check_invariants().unwrap();
 }

@@ -51,7 +51,6 @@ pub mod reduce;
 pub mod scan;
 pub mod search;
 pub mod segmented_sort;
-pub mod sorted_search;
 pub(crate) mod util;
 
 pub use compact::{compact_by_flag, compact_pairs_by_flag};

@@ -19,18 +19,30 @@ use rayon::prelude::*;
 
 use crate::util::SharedSlice;
 
-/// Output size below which one sequential merge wins: under the pool's own
-/// adaptive cutoff the tiled path cannot parallelize anyway, so its split
-/// binary searches, per-tile scratch vectors and (for pairs) tuple round
-/// trips are pure overhead.  Floored at 4Ki for hosts whose calibrated
-/// cutoff is very low.
-fn sequential_merge_cutoff() -> usize {
-    rayon::sequential_cutoff().max(1 << 12)
+/// Output size up to which one sequential merge runs on the host: below
+/// it the tiled path's split searches and per-tile scratch are pure
+/// overhead.  A constant, independent of the worker pool's cutoff, so the
+/// host path a merge takes depends only on its size.
+const SEQUENTIAL_MERGE_CUTOFF: usize = 1 << 12;
+
+/// Output elements per merge-path tile, for elements of `elem_bytes`.
+fn merge_tile(device: &Device, elem_bytes: usize) -> usize {
+    device.preferred_tile(elem_bytes).max(1024)
 }
 
-/// Record one merge launch plus its streaming traffic.
-fn record_merge_traffic(device: &Device, n: usize, elem_bytes: usize) {
+/// Record one merge of `n` outputs: the launch, its streaming traffic and
+/// the merge-path split searches, `(⌈n / tile⌉ + 1) · 32` scattered probes
+/// of `key_bytes` each.  The modelled GPU (moderngpu `Merge`) always
+/// partitions, so the probes are booked whichever host path runs and a
+/// merge's traffic depends only on `n`.
+fn record_merge_traffic(device: &Device, n: usize, elem_bytes: usize, key_bytes: usize) {
     crate::util::record_streaming(device, "merge", n, elem_bytes);
+    if n > 0 {
+        let tiles = n.div_ceil(merge_tile(device, elem_bytes)) as u64;
+        device
+            .metrics()
+            .record_scattered_probes("merge", (tiles + 1) * 32, key_bytes as u64);
+    }
 }
 
 /// Find the merge-path split for diagonal `diag`: the number of elements
@@ -279,17 +291,18 @@ where
     F: Fn(&T, &T) -> bool + Sync,
 {
     let n = a.len() + b.len();
-    record_merge_traffic(device, n, std::mem::size_of::<T>());
+    let elem_bytes = std::mem::size_of::<T>();
+    record_merge_traffic(device, n, elem_bytes, elem_bytes);
 
     let mut out = vec![T::default(); n];
     if n == 0 {
         return out;
     }
-    if n <= sequential_merge_cutoff() {
+    if n <= SEQUENTIAL_MERGE_CUTOFF {
         serial_merge_into(a, b, &mut out, &less);
         return out;
     }
-    let tile = device.preferred_tile(std::mem::size_of::<T>()).max(1024);
+    let tile = merge_tile(device, elem_bytes);
     let num_tiles = n.div_ceil(tile);
 
     // Precompute merge-path splits at every tile boundary (scattered binary
@@ -298,11 +311,6 @@ where
         .into_par_iter()
         .map(|t| merge_path(a, b, (t * tile).min(n), &less))
         .collect();
-    device.metrics().record_scattered_probes(
-        "merge",
-        (num_tiles as u64 + 1) * 32,
-        std::mem::size_of::<T>() as u64,
-    );
 
     let shared = SharedSlice::new(&mut out);
     (0..num_tiles).into_par_iter().for_each(|t| {
@@ -321,6 +329,12 @@ where
     });
     out
 }
+
+/// Bytes of one key of a key/value merge: the split searches read keys only.
+const KEY_BYTES: usize = std::mem::size_of::<u32>();
+
+/// Bytes of one key/value element a pair merge streams.
+const PAIR_BYTES: usize = 2 * KEY_BYTES;
 
 /// A raw output pointer that may cross thread boundaries; the tiled merge
 /// guarantees disjoint write ranges per tile.
@@ -360,9 +374,7 @@ unsafe fn par_merge_pairs_raw<F>(
     F: Fn(&u32, &u32) -> bool + Sync,
 {
     let n = a_keys.len() + b_keys.len();
-    let tile = device
-        .preferred_tile(2 * std::mem::size_of::<u32>())
-        .max(1024);
+    let tile = merge_tile(device, PAIR_BYTES);
     let num_tiles = n.div_ceil(tile);
 
     // Precompute merge-path splits at every tile boundary (scattered binary
@@ -373,11 +385,6 @@ unsafe fn par_merge_pairs_raw<F>(
         .into_par_iter()
         .map(|t| merge_path(a_keys, b_keys, (t * tile).min(n), less))
         .collect();
-    device.metrics().record_scattered_probes(
-        "merge",
-        (num_tiles as u64 + 1) * 32,
-        std::mem::size_of::<u32>() as u64,
-    );
 
     let shared_keys = SendPtr(out_keys);
     let shared_vals = SendPtr(out_vals);
@@ -419,10 +426,10 @@ where
     assert_eq!(a_keys.len(), a_vals.len());
     assert_eq!(b_keys.len(), b_vals.len());
     let n = a_keys.len() + b_keys.len();
-    record_merge_traffic(device, n, 2 * std::mem::size_of::<u32>());
+    record_merge_traffic(device, n, PAIR_BYTES, KEY_BYTES);
     // Small merges (the bottom of the LSM carry chain) go straight to a
     // sequential key/value merge: no tile splits, no zero-fill.
-    if n <= sequential_merge_cutoff() {
+    if n <= SEQUENTIAL_MERGE_CUTOFF {
         if a_keys.len() == b_keys.len() {
             // The LSM carry chain always merges a buffer of b·2^i elements
             // with a level of the same size, so the equal-length parity
@@ -477,14 +484,14 @@ pub fn merge_pairs_by_into<F>(
     let n = a_keys.len() + b_keys.len();
     assert_eq!(out_keys.len(), n, "output slice length mismatch");
     assert_eq!(out_vals.len(), n, "output slice length mismatch");
-    record_merge_traffic(device, n, 2 * std::mem::size_of::<u32>());
+    record_merge_traffic(device, n, PAIR_BYTES, KEY_BYTES);
     if n == 0 {
         return;
     }
     // SAFETY: the output slices hold exactly `n` writable slots, borrowed
     // mutably so they overlap no input.
     unsafe {
-        if n <= sequential_merge_cutoff() {
+        if n <= SEQUENTIAL_MERGE_CUTOFF {
             if a_keys.len() == b_keys.len() {
                 parity_merge_pairs_raw(
                     a_keys,

@@ -3,9 +3,13 @@
 //! model — that accounting is what makes the reproduction's "modelled K40c
 //! time" meaningful.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gpu_lsm::GpuLsm;
+use gpu_lsm::{GpuLsm, LsmConfig};
+use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
+use gpu_primitives::merge::{merge_pairs_by, merge_pairs_by_into};
+use gpu_sim::metrics::KernelMetricsSnapshot;
 use gpu_sim::{Device, DeviceConfig};
 use lsm_workloads::unique_random_pairs;
 
@@ -198,4 +202,123 @@ fn cuckoo_and_sorted_array_share_the_same_accounting() {
         snap["sa_lookup"].scattered_transactions,
         snap["cuckoo_lookup"].scattered_transactions
     );
+}
+
+/// Levels of `lsm` that carry a Bloom filter.
+fn filtered_levels(lsm: &GpuLsm) -> usize {
+    lsm.levels()
+        .iter_occupied()
+        .filter(|(_, level)| level.filter().is_some())
+        .count()
+}
+
+#[test]
+fn filter_sizing_stays_with_the_structure_that_chose_it() {
+    let dev = device();
+    // 16 batches of 1024: one bulk-built level of 2^14, filtered exactly
+    // when the sizing a config-less constructor resolves is above 0.
+    let pairs = unique_random_pairs(1 << 14, 9);
+    let bits = LsmConfig::from_env()
+        .unwrap()
+        .bloom_bits
+        .unwrap_or(DEFAULT_BITS_PER_KEY);
+    let expected = usize::from(bits > 0);
+    let mut before = GpuLsm::bulk_build(dev.clone(), 1024, &pairs).unwrap();
+    assert_eq!(filtered_levels(&before), expected);
+
+    // An unfiltered structure in the same process, rebuilt by cleanup at
+    // its own sizing...
+    let off_config = LsmConfig::default().bloom_bits(0);
+    let mut off = GpuLsm::with_config(dev.clone(), 1024, &off_config).unwrap();
+    for chunk in pairs.chunks(1024) {
+        off.insert(chunk).unwrap();
+    }
+    off.cleanup();
+    assert_eq!(off.num_occupied_levels(), 1);
+    assert_eq!(filtered_levels(&off), 0);
+
+    // ...changes neither structures built after it nor rebuilds of the
+    // ones built before it.
+    let after = GpuLsm::bulk_build(dev.clone(), 1024, &pairs).unwrap();
+    assert_eq!(filtered_levels(&after), expected);
+    before.cleanup();
+    assert_eq!(filtered_levels(&before), expected);
+}
+
+/// Per-kernel traffic of one fixed bulk build, insert, lookup, count,
+/// range and cleanup sequence, run with the worker pool's cutoff at
+/// `cutoff`.
+fn traffic_at_pool_cutoff(cutoff: usize) -> (BTreeMap<String, KernelMetricsSnapshot>, f64) {
+    rayon::set_sequential_cutoff(cutoff);
+    let dev = device();
+    let pairs = unique_random_pairs(24 * 1024, 11);
+    let (resident, incoming) = pairs.split_at(8 * 1024);
+    // Eight resident batches, then sixteen more: carry merges of 2^11 to
+    // 2^14 outputs, on both sides of the merge's sequential cutoff.
+    let mut lsm = GpuLsm::bulk_build(dev.clone(), 1024, resident).unwrap();
+    for chunk in incoming.chunks(1024) {
+        lsm.insert(chunk).unwrap();
+    }
+    let keys: Vec<u32> = pairs.iter().step_by(16).map(|&(k, _)| k).collect();
+    let intervals: Vec<(u32, u32)> = keys
+        .iter()
+        .map(|&k| (k, k.saturating_add(1 << 16)))
+        .collect();
+    let _ = lsm.lookup(&keys);
+    let _ = lsm.bulk_get(&keys);
+    let _ = lsm.count(&intervals);
+    let _ = lsm.range(&intervals);
+    lsm.cleanup();
+    let seconds = dev.estimated_time().total_seconds;
+    rayon::set_sequential_cutoff(0);
+    (dev.metrics().snapshot(), seconds)
+}
+
+#[test]
+fn modelled_traffic_does_not_depend_on_the_pool_cutoff() {
+    let (forced, forced_seconds) = traffic_at_pool_cutoff(1);
+    let (inline, inline_seconds) = traffic_at_pool_cutoff(usize::MAX);
+    assert!(forced["merge"].scattered_transactions > 0);
+    for (kernel, metrics) in &forced {
+        assert_eq!(Some(metrics), inline.get(kernel), "kernel {kernel}");
+    }
+    assert_eq!(forced.len(), inline.len());
+    assert_eq!(forced_seconds, inline_seconds);
+}
+
+#[test]
+fn merges_book_their_split_probes_on_every_host_path() {
+    for n in [2048usize, 4096, 4097, 8192] {
+        let a_keys: Vec<u32> = (0..n as u32 / 2).map(|k| 2 * k).collect();
+        let b_keys: Vec<u32> = (0..(n - n / 2) as u32).map(|k| 2 * k + 1).collect();
+        let (a_vals, b_vals) = (a_keys.clone(), b_keys.clone());
+        let dev = Device::new(DeviceConfig::small());
+        // The merge-path tile for key/value pairs: (⌈n / tile⌉ + 1) splits
+        // of one warp-wide search each.
+        let tile = dev.preferred_tile(8).max(1024);
+        let expected = (n.div_ceil(tile) as u64 + 1) * 32;
+        let _ = merge_pairs_by(&dev, &a_keys, &a_vals, &b_keys, &b_vals, |x, y| x < y);
+        assert_eq!(
+            dev.metrics().snapshot()["merge"].scattered_transactions,
+            expected,
+            "n = {n}"
+        );
+        dev.reset_counters();
+        let (mut out_keys, mut out_vals) = (vec![0; n], vec![0; n]);
+        merge_pairs_by_into(
+            &dev,
+            &a_keys,
+            &a_vals,
+            &b_keys,
+            &b_vals,
+            &mut out_keys,
+            &mut out_vals,
+            |x, y| x < y,
+        );
+        assert_eq!(
+            dev.metrics().snapshot()["merge"].scattered_transactions,
+            expected,
+            "n = {n}"
+        );
+    }
 }

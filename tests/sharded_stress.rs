@@ -26,7 +26,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gpu_lsm::{
-    AdmissionConfig, AdmittedLsm, ConcurrentGpuLsm, GpuLsm, ShardRouter, ShardedLsm, UpdateBatch,
+    AdmissionConfig, AdmittedLsm, ConcurrentGpuLsm, GpuLsm, LsmConfig, ShardRouter, ShardedLsm,
+    UpdateBatch,
 };
 use gpu_sim::{Device, DeviceConfig};
 
@@ -413,18 +414,15 @@ fn sharded_rebalance_churn_under_concurrent_mixed_fire() {
 /// handoff: every split/merge drains the affected queues behind a targeted
 /// flush barrier before the rebuild, concurrent submitters re-route, and
 /// flush barriers survive queue re-layout.  Queue capacity is pinned small
-/// to keep submitters sleeping on backpressure across handoffs; coalesce
-/// mode follows `LSM_ADMIT_COALESCE` so the CI matrix exercises both the
-/// coalescing and the replay applier.
+/// to keep submitters sleeping on backpressure across handoffs; the
+/// service leaves coalescing to its config's fallback, so it follows
+/// `LSM_ADMIT_COALESCE` and the CI matrix exercises both the coalescing and
+/// the replay applier.
 #[test]
 fn admitted_rebalance_churn_under_concurrent_mixed_fire() {
-    let lsm = AdmittedLsm::with_config(
-        ShardedLsm::new(device(), BLOCK as usize, 8).unwrap(),
-        AdmissionConfig {
-            queue_capacity: 4,
-            ..AdmissionConfig::default()
-        },
-    );
+    let config = LsmConfig::default().admit_queue_capacity(4);
+    let lsm =
+        AdmittedLsm::new(ShardedLsm::with_config(device(), BLOCK as usize, 8, config).unwrap());
     let split_key = churn_split_key();
     let churn = {
         let lsm = lsm.clone();
