@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the substrate primitives (the CUB /
-//! moderngpu stand-ins): radix sort, merge, scan, segmented sort, compaction
-//! and multisplit.  These are the building blocks whose rates bound every
+//! moderngpu stand-ins): radix sort, merge, scan, compaction and
+//! multisplit.  These are the building blocks whose rates bound every
 //! number in the paper's tables (e.g. the 770 M elements/s radix sort quoted
 //! in §V-B).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_primitives::{
     compact::compact_by_flag, merge::merge_by, multisplit::multisplit_in_place,
-    radix_sort::sort_pairs, scan::exclusive_scan, segmented_sort::segmented_sort_keys_by,
+    radix_sort::sort_pairs, scan::exclusive_scan,
 };
 use lsm_bench::experiments::experiment_device;
 use rand::rngs::StdRng;
@@ -79,33 +79,10 @@ fn bench_scan_compact_multisplit(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_segmented_sort(c: &mut Criterion) {
-    let device = experiment_device();
-    let mut rng = StdRng::seed_from_u64(3);
-    let num_segments = 1 << 10;
-    let seg_len = 64;
-    let keys: Vec<u32> = (0..num_segments * seg_len).map(|_| rng.gen()).collect();
-    let offsets: Vec<usize> = (0..=num_segments).map(|i| i * seg_len).collect();
-    let mut group = c.benchmark_group("segmented_sort");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.throughput(Throughput::Elements((num_segments * seg_len) as u64));
-    group.bench_function("1024_segments_of_64", |b| {
-        b.iter_batched(
-            || keys.clone(),
-            |mut k| segmented_sort_keys_by(&device, &mut k, &offsets, |a, b| a < b),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_radix_sort,
     bench_merge,
-    bench_scan_compact_multisplit,
-    bench_segmented_sort
+    bench_scan_compact_multisplit
 );
 criterion_main!(benches);

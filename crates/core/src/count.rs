@@ -1,154 +1,273 @@
 //! Count queries: how many *valid* keys fall in `[k1, k2]`.
 //!
-//! The five-stage pipeline of §IV-C:
+//! The paper answers count and range queries (§IV-C/D) with a five-stage
+//! GPU pipeline: (1) per query and per occupied level, the lower bounds of
+//! `k1` and of `k2 + 1` bound the level's candidates; (2) an exclusive
+//! scan of those sizes gives each (query, level) group its output offset;
+//! (3) the candidates are gathered into one array, newest level first;
+//! (4) a stable segmented sort orders each query's segment by original
+//! key, so equal keys stay newest-first; (5) the first element of each key
+//! run decides: a regular element counts, a tombstone hides the key.
 //!
-//! 1. **Initial count estimate** — per query and per occupied level, the
-//!    lower bounds of `k1` and of `k2 + 1` give the number of candidate
-//!    elements in that level; queries search each level together, in
-//!    lockstep lane groups.
-//! 2. **Scanning** — a device-wide exclusive scan over the per-(query,
-//!    level) estimates yields every candidate group's output offset.
-//! 3. **Initial key storage** — candidate encoded keys are gathered into one
-//!    contiguous array, level by level per query (most recent level first).
-//! 4. **Segmented sort** — each query's segment is sorted by original key,
-//!    status bits ignored, preserving the newest-first order of equal keys.
-//! 5. **Final counting** — within each segment, each run of identical keys
-//!    contributes one to the count iff its first (newest) element is a
-//!    regular element, not a tombstone.
+//! **What the host runs.**  Stage 1 as it is: queries search each level
+//! together in lockstep lane groups of `LANE_GROUP` ([`Level::lower_bounds`]).
+//! Stages 2–4 only stage data on a host, so in their place each query
+//! merges its level slices in one stable pass, newest level first: on
+//! equal keys the newer side wins, and a level keeps its stored order —
+//! exactly the order the stable segmented sort produces.  Stage 5 then
+//! reads the merged run; a query with one non-empty slice reads the level
+//! in place.  Count reads keys only.  The merges run in parallel over the
+//! same lane groups as the search, each group reusing one scratch.
+//!
+//! **What the device model books.**  The paper's five stages, as if they
+//! ran (`Bounds::record`): the search kernel's launch, its probes and its
+//! gather of every candidate, the scan of the per-(query, level)
+//! estimates and the segmented sort of the candidates.  What the host
+//! skips does not change modelled device time.
+//!
+//! [`Level::lower_bounds`]: crate::level::Level::lower_bounds
 
-use gpu_primitives::scan::exclusive_scan;
-use gpu_primitives::segmented_sort::segmented_sort_pairs_by;
-use gpu_sim::AccessPattern;
+use gpu_primitives::merge::{seq_merge_into, seq_merge_pairs_into};
+use gpu_sim::{AccessPattern, Device};
 use rayon::prelude::*;
 
-use crate::key::{is_regular, key_less, EncodedKey, Key, Value, MAX_KEY};
+use crate::key::{is_regular, key_less, original_key, EncodedKey, Key, Value, MAX_KEY};
 use crate::level::Level;
 use crate::lookup::LANE_GROUP;
 use crate::lsm::GpuLsm;
 
-/// The gathered candidates of a set of interval queries: one contiguous
-/// segment per query, sorted by original key, newest instance of each key
-/// first.  Shared by count and range queries.
-pub(crate) struct Candidates {
-    /// Gathered encoded keys, all queries concatenated.
-    pub keys: Vec<EncodedKey>,
-    /// Gathered values, parallel to `keys`.
-    pub values: Vec<Value>,
-    /// Per-query segment offsets (`queries.len() + 1` entries).
-    pub segment_offsets: Vec<usize>,
+/// Stage 1 of a count or range call: every (query, level) pair's slice of
+/// candidates.
+pub(crate) struct Bounds<'a> {
+    /// Number of queries searched.
+    num_queries: usize,
+    /// The occupied levels, newest first.
+    levels: Vec<&'a Level>,
+    /// Query-major: `slices[q * levels.len() + l]` is query `q`'s candidate
+    /// index range in level `l` (`(0, 0)` when the interval misses it).
+    slices: Vec<(usize, usize)>,
+    /// Scattered probes the searches took.
+    probes: u64,
+}
+
+impl<'a> Bounds<'a> {
+    /// Search every query's candidate bounds in every occupied level of
+    /// `lsm`, in lockstep lane groups of `LANE_GROUP` queries in parallel
+    /// (see [`group_bounds`]).
+    pub(crate) fn search(lsm: &'a GpuLsm, queries: &[(Key, Key)]) -> Self {
+        let levels: Vec<&Level> = lsm.levels().iter_occupied().map(|(_, l)| l).collect();
+        let num_levels = levels.len();
+        let mut slices = vec![(0usize, 0usize); queries.len() * num_levels];
+        let mut lane_keys: Vec<Key> = vec![0; queries.len()];
+        let mut lane_found: Vec<usize> = vec![0; queries.len()];
+        let probes = slices
+            .par_chunks_mut((LANE_GROUP * num_levels).max(1))
+            .zip(queries.par_chunks(LANE_GROUP))
+            .zip(lane_keys.par_chunks_mut(LANE_GROUP))
+            .zip(lane_found.par_chunks_mut(LANE_GROUP))
+            .map(|(((slices, queries), keys), found)| {
+                group_bounds(&levels, queries, slices, keys, found)
+            })
+            .sum();
+        Bounds {
+            num_queries: queries.len(),
+            levels,
+            slices,
+            probes,
+        }
+    }
+
+    /// The call's lane groups, in parallel: per group, the slice bounds of
+    /// each of its queries in turn.  Empty when no level is occupied.
+    pub(crate) fn par_groups(
+        &self,
+    ) -> impl ParallelIterator<Item = std::slice::Chunks<'_, (usize, usize)>> + '_ {
+        let num_levels = self.levels.len().max(1);
+        self.slices
+            .par_chunks(LANE_GROUP * num_levels)
+            .map(move |group| group.chunks(num_levels))
+    }
+
+    /// One query's non-empty candidate slices, newest level first, as
+    /// `(level, lo..hi)`.
+    fn slices<'q>(
+        &'q self,
+        query: &'q [(usize, usize)],
+    ) -> impl Iterator<Item = (&'a Level, std::ops::Range<usize>)> + 'q {
+        self.levels
+            .iter()
+            .zip(query)
+            .filter(|(_, &(lo, hi))| hi > lo)
+            .map(|(&level, &(lo, hi))| (level, lo..hi))
+    }
+
+    /// Candidates over all queries: the elements the paper's pipeline
+    /// gathers and sorts.
+    fn candidates(&self) -> usize {
+        self.slices.iter().map(|&(lo, hi)| hi - lo).sum()
+    }
+
+    /// Book the paper's five-stage pipeline for this call under `kernel`,
+    /// whatever the host ran: the launch; the searches' probes; the
+    /// scattered gather of the candidates' key–value pairs and their
+    /// coalesced store; the exclusive scan of the per-(query, level)
+    /// estimates; and the segmented sort of the candidates.  A range call
+    /// passes the number of pairs it returned as `valid` and also books
+    /// its stage 5: the scan of the per-query counts and the flag
+    /// compaction of the candidates down to `valid` pairs.
+    pub(crate) fn record(&self, device: &Device, kernel: &str, valid: Option<usize>) {
+        const PAIR: usize = 2 * std::mem::size_of::<u32>();
+        let metrics = device.metrics();
+        let stream = |kernel: &str, n: usize, elem_bytes: usize| {
+            metrics.record_launch(kernel);
+            let bytes = (n * elem_bytes) as u64;
+            metrics.record_read(kernel, bytes, AccessPattern::Coalesced);
+            metrics.record_write(kernel, bytes, AccessPattern::Coalesced);
+        };
+        let candidates = self.candidates();
+        let gathered = (candidates * PAIR) as u64;
+        metrics.record_launch(kernel);
+        if !self.slices.is_empty() {
+            metrics.record_scattered_probes(
+                kernel,
+                self.probes,
+                std::mem::size_of::<EncodedKey>() as u64,
+            );
+            stream(
+                "exclusive_scan",
+                self.slices.len(),
+                std::mem::size_of::<u64>(),
+            );
+            metrics.record_read(kernel, gathered, AccessPattern::Scattered);
+            metrics.record_write(kernel, gathered, AccessPattern::Coalesced);
+            stream("segmented_sort_pairs", candidates, PAIR);
+        }
+        if let Some(valid) = valid {
+            stream(
+                "exclusive_scan",
+                self.num_queries,
+                std::mem::size_of::<u64>(),
+            );
+            metrics.record_launch("compact");
+            metrics.record_read("compact", gathered, AccessPattern::Coalesced);
+            stream("exclusive_scan", candidates, std::mem::size_of::<u32>());
+            metrics.record_write("compact", (valid * PAIR) as u64, AccessPattern::Coalesced);
+        }
+    }
+
+    /// One query's candidate keys merged newest level first (on equal keys
+    /// the newer level wins, and a level keeps its stored order), merging
+    /// in the group's ping-pong `bufs`; a lone slice is read in place.
+    pub(crate) fn merged_keys<'s>(
+        &'s self,
+        query: &'s [(usize, usize)],
+        bufs: &'s mut [Vec<EncodedKey>; 2],
+    ) -> &'s [EncodedKey] {
+        let mut slices = self.slices(query).map(|(level, r)| &level.keys()[r]);
+        let Some(first) = slices.next() else {
+            return &[];
+        };
+        let [merged, out] = bufs;
+        let mut len = None;
+        for next in slices {
+            let acc = match len {
+                Some(n) => &merged[..n],
+                None => first,
+            };
+            let n = acc.len() + next.len();
+            if out.len() < n {
+                out.resize(n, 0);
+            }
+            seq_merge_into(acc, next, &mut out[..n], &key_less);
+            std::mem::swap(merged, out);
+            len = Some(n);
+        }
+        match len {
+            Some(n) => &merged[..n],
+            None => first,
+        }
+    }
+
+    /// [`Bounds::merged_keys`] with each value moving along with its key.
+    pub(crate) fn merged_pairs<'s>(
+        &'s self,
+        query: &'s [(usize, usize)],
+        bufs: &'s mut PairBufs,
+    ) -> (&'s [EncodedKey], &'s [Value]) {
+        let mut slices = self
+            .slices(query)
+            .map(|(level, r)| (&level.keys()[r.clone()], &level.values()[r]));
+        let Some(first) = slices.next() else {
+            return (&[], &[]);
+        };
+        let [(merged_keys, merged_values), (out_keys, out_values)] = bufs;
+        let mut len = None;
+        for (keys, values) in slices {
+            let (acc_keys, acc_values) = match len {
+                Some(n) => (&merged_keys[..n], &merged_values[..n]),
+                None => first,
+            };
+            let n = acc_keys.len() + keys.len();
+            if out_keys.len() < n {
+                out_keys.resize(n, 0);
+                out_values.resize(n, 0);
+            }
+            seq_merge_pairs_into(
+                acc_keys,
+                acc_values,
+                keys,
+                values,
+                &mut out_keys[..n],
+                &mut out_values[..n],
+                &key_less,
+            );
+            std::mem::swap(merged_keys, out_keys);
+            std::mem::swap(merged_values, out_values);
+            len = Some(n);
+        }
+        match len {
+            Some(n) => (&merged_keys[..n], &merged_values[..n]),
+            None => first,
+        }
+    }
+}
+
+/// Ping-pong merge scratch of one lane group's range queries: two
+/// key/value buffer pairs.
+pub(crate) type PairBufs = [(Vec<EncodedKey>, Vec<Value>); 2];
+
+/// Positions of the elements of a query's merged candidates that decide
+/// their key and make it valid: the first element of each key run, when
+/// it is a regular element (a first tombstone hides the key).
+pub(crate) fn valid_firsts(keys: &[EncodedKey]) -> impl Iterator<Item = usize> + '_ {
+    let mut prev = None;
+    keys.iter().enumerate().filter_map(move |(i, &k)| {
+        let first = prev != Some(original_key(k));
+        prev = Some(original_key(k));
+        (first && is_regular(k)).then_some(i)
+    })
 }
 
 impl GpuLsm {
     /// Count, for each `(k1, k2)` query, the number of distinct valid keys
     /// `k` with `k1 <= k <= k2` (replaced and deleted keys excluded).
     pub fn count(&self, queries: &[(Key, Key)]) -> Vec<u32> {
-        let candidates = self.device().timer().time("count::gather", || {
-            self.gather_candidates(queries, "lsm_count")
-        });
-        self.device()
-            .timer()
-            .time("count::validate", || validate_counts(&candidates))
-    }
-
-    /// Stages 1–4 of the count/range pipeline, shared by [`GpuLsm::count`]
-    /// and [`GpuLsm::range`].
-    pub(crate) fn gather_candidates(&self, queries: &[(Key, Key)], kernel: &str) -> Candidates {
-        let num_queries = queries.len();
-        let levels: Vec<_> = self.levels().iter_occupied().map(|(_, l)| l).collect();
-        let num_levels = levels.len();
-        self.device().metrics().record_launch(kernel);
-
-        if num_queries == 0 || num_levels == 0 {
-            return Candidates {
-                keys: Vec::new(),
-                values: Vec::new(),
-                segment_offsets: vec![0; num_queries + 1],
-            };
-        }
-
-        // Stage 1: per-(query, level) candidate bounds, searched in
-        // lockstep lane groups of `LANE_GROUP` queries (see
-        // `group_bounds`).  Laid out query-major, level-minor so each
-        // query's groups are contiguous, and each lane group's bounds too.
-        // Scattered probes are charged for the searches that actually ran
-        // — pairs the min/max clamp skipped cost nothing, so modelled
-        // device time reflects the pruning win.
-        let mut bounds = vec![(0usize, 0usize); num_queries * num_levels];
-        let mut lane_keys: Vec<Key> = vec![0; num_queries];
-        let mut lane_found: Vec<usize> = vec![0; num_queries];
-        let probes_done: u64 = bounds
-            .par_chunks_mut(LANE_GROUP * num_levels)
-            .zip(queries.par_chunks(LANE_GROUP))
-            .zip(lane_keys.par_chunks_mut(LANE_GROUP))
-            .zip(lane_found.par_chunks_mut(LANE_GROUP))
-            .map(|(((bounds, queries), keys), found)| {
-                group_bounds(&levels, queries, bounds, keys, found)
-            })
-            .sum();
-        self.device().metrics().record_scattered_probes(
-            kernel,
-            probes_done,
-            std::mem::size_of::<EncodedKey>() as u64,
-        );
-        let estimates: Vec<u64> = bounds.iter().map(|&(lo, hi)| (hi - lo) as u64).collect();
-
-        // Stage 2: exclusive scan of the estimates gives output offsets.
-        let (offsets, total) = exclusive_scan(self.device(), &estimates);
-        let total = total as usize;
-
-        // Stage 3: gather candidate keys and values.  Each query's segment is
-        // a contiguous range; each (query, level) group within it is too, so
-        // groups can be copied in parallel per query.
-        let mut keys = vec![0u32; total];
-        let mut values = vec![0u32; total];
-        self.device()
-            .metrics()
-            .record_read(kernel, (total * 8) as u64, AccessPattern::Scattered);
-        self.device()
-            .metrics()
-            .record_write(kernel, (total * 8) as u64, AccessPattern::Coalesced);
-        // Split the output into per-query mutable segments.
-        let mut segment_offsets = Vec::with_capacity(num_queries + 1);
-        for q in 0..num_queries {
-            segment_offsets.push(offsets[q * num_levels] as usize);
-        }
-        segment_offsets.push(total);
-
-        {
-            let key_segments = split_by_offsets(&mut keys, &segment_offsets);
-            let value_segments = split_by_offsets(&mut values, &segment_offsets);
-            key_segments
-                .into_par_iter()
-                .zip(value_segments.into_par_iter())
-                .enumerate()
-                .for_each(|(q, (kseg, vseg))| {
-                    let mut cursor = 0usize;
-                    for (li, level) in levels.iter().enumerate() {
-                        let (lo, hi) = bounds[q * num_levels + li];
-                        let n = hi - lo;
-                        kseg[cursor..cursor + n].copy_from_slice(&level.keys()[lo..hi]);
-                        vseg[cursor..cursor + n].copy_from_slice(&level.values()[lo..hi]);
-                        cursor += n;
+        let timer = self.device().timer();
+        let bounds = timer.time("count::gather", || Bounds::search(self, queries));
+        let mut counts = vec![0u32; queries.len()];
+        timer.time("count::validate", || {
+            counts
+                .par_chunks_mut(LANE_GROUP)
+                .zip(bounds.par_groups())
+                .for_each(|(counts, group)| {
+                    let mut bufs = Default::default();
+                    for (count, query) in counts.iter_mut().zip(group) {
+                        *count = valid_firsts(bounds.merged_keys(query, &mut bufs)).count() as u32;
                     }
                 });
-        }
-
-        // Stage 4: segmented sort by original key (status bit ignored).  The
-        // sort is stable and the gather visited levels newest-first, so equal
-        // keys stay ordered newest-first.
-        segmented_sort_pairs_by(
-            self.device(),
-            &mut keys,
-            &mut values,
-            &segment_offsets,
-            key_less,
-        );
-
-        Candidates {
-            keys,
-            values,
-            segment_offsets,
-        }
+        });
+        bounds.record(self.device(), "lsm_count", None);
+        counts
     }
 }
 
@@ -211,61 +330,68 @@ fn group_bounds(
     probes
 }
 
-/// Stage 5 of the count pipeline: per segment, count key runs whose first
-/// (newest) element is a regular element.
-pub(crate) fn validate_counts(candidates: &Candidates) -> Vec<u32> {
-    let num_queries = candidates.segment_offsets.len() - 1;
-    (0..num_queries)
-        .into_par_iter()
-        .map(|q| {
-            let start = candidates.segment_offsets[q];
-            let end = candidates.segment_offsets[q + 1];
-            let keys = &candidates.keys[start..end];
-            let mut count = 0u32;
-            let mut i = 0usize;
-            while i < keys.len() {
-                let key = keys[i] >> 1;
-                if is_regular(keys[i]) {
-                    count += 1;
-                }
-                // Skip the rest of this key's run (older instances are stale).
-                i += 1;
-                while i < keys.len() && keys[i] >> 1 == key {
-                    i += 1;
-                }
-            }
-            count
-        })
-        .collect()
-}
-
-/// Split `data` into mutable, disjoint segments described by `offsets`.
-pub(crate) fn split_by_offsets<'a, T>(data: &'a mut [T], offsets: &[usize]) -> Vec<&'a mut [T]> {
-    let mut segments = Vec::with_capacity(offsets.len().saturating_sub(1));
-    let mut rest = data;
-    let mut consumed = 0usize;
-    for w in offsets.windows(2) {
-        let len = w[1] - w[0];
-        debug_assert_eq!(w[0], consumed);
-        let (seg, tail) = rest.split_at_mut(len);
-        segments.push(seg);
-        rest = tail;
-        consumed += len;
-    }
-    segments
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
     use gpu_sim::{Device, DeviceConfig};
 
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rayon::prelude::*;
+
+    use super::Bounds;
     use crate::batch::UpdateBatch;
+    use crate::key::original_key;
     use crate::lsm::GpuLsm;
 
     fn device() -> Arc<Device> {
         Arc::new(Device::new(DeviceConfig::small()))
+    }
+
+    #[test]
+    fn merged_candidates_are_the_stable_sort_of_the_newest_first_slices() {
+        // 23 batches of 4 over 12 keys: levels 0, 1, 2 and 4, thick with
+        // in-batch duplicates, replaced keys and tombstones.
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut lsm = GpuLsm::new(device(), 4).unwrap();
+        for batch in 0..23u32 {
+            let mut update = UpdateBatch::new();
+            for i in 0..4 {
+                let key = rng.gen_range(0..12);
+                if rng.gen_bool(0.3) {
+                    update.delete(key);
+                } else {
+                    update.insert(key, batch * 100 + i);
+                }
+            }
+            lsm.update(&update).unwrap();
+        }
+        let queries: Vec<(u32, u32)> = (0..13)
+            .flat_map(|k1| (k1..13).map(move |k2| (k1, k2)))
+            .chain([(5, 3), (0, u32::MAX)])
+            .collect();
+        let bounds = Bounds::search(&lsm, &queries);
+        let groups: Vec<_> = bounds.par_groups().collect();
+        let (mut key_bufs, mut pair_bufs) = Default::default();
+        for query in groups.into_iter().flatten() {
+            // The paper's stages 3 and 4: gather newest level first, then
+            // sort stably by original key.
+            let mut expected: Vec<(u32, u32)> = bounds
+                .slices(query)
+                .flat_map(|(level, r)| {
+                    let keys = level.keys()[r.clone()].iter().copied();
+                    keys.zip(level.values()[r].iter().copied())
+                })
+                .collect();
+            expected.sort_by_key(|&(k, _)| original_key(k));
+            let (keys, values) = bounds.merged_pairs(query, &mut pair_bufs);
+            let merged: Vec<(u32, u32)> =
+                keys.iter().copied().zip(values.iter().copied()).collect();
+            assert_eq!(merged, expected);
+            let expected_keys: Vec<u32> = expected.iter().map(|&(k, _)| k).collect();
+            assert_eq!(bounds.merged_keys(query, &mut key_bufs), expected_keys);
+        }
     }
 
     #[test]

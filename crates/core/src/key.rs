@@ -62,7 +62,7 @@ pub fn placebo() -> EncodedKey {
 }
 
 /// Comparator on original keys only (status bit ignored), used for level
-/// merges, segmented sorts and searches.
+/// merges, the count/range merges and searches.
 #[inline]
 pub fn key_less(a: &EncodedKey, b: &EncodedKey) -> bool {
     (a >> 1) < (b >> 1)

@@ -11,9 +11,10 @@
 //! elements, and a [`GpuLsm::cleanup`] pass removes them.
 //!
 //! All bulk work is expressed with the primitives of [`gpu_primitives`]
-//! (radix sort, merge, scan, segmented sort, compaction, multisplit) running
-//! on the [`gpu_sim`] substrate, mirroring the paper's use of CUB and
-//! moderngpu on a Tesla K40c.
+//! (radix sort, merge, multisplit) running on the [`gpu_sim`] substrate,
+//! mirroring the paper's use of CUB and moderngpu on a Tesla K40c.  Count
+//! and range book the scans, segmented sort and compaction of the paper's
+//! pipeline without running them (see [`count`]).
 //!
 //! ## Quick example
 //!

@@ -1,18 +1,28 @@
 //! Range queries: return every valid key–value pair in `[k1, k2]`.
 //!
-//! Range queries share stages 1–4 with count queries (§IV-D): bounds,
-//! scan, gather (keys *and* values) and segmented sort.  Stage 5 differs:
-//! instead of tallying, each key run's newest element is marked valid if it
-//! is a regular element, and a flag-based compaction gathers the surviving
-//! pairs per query, producing per-query offsets followed by the valid
-//! elements sorted by key — the same output layout the paper describes.
+//! Range queries share the paper's pipeline with count queries (§IV-D):
+//! bounds, scan, gather of keys *and* values, segmented sort.  Stage 5
+//! differs: each key run's newest element is marked valid if it is a
+//! regular element, a scan of the per-query valid counts gives the output
+//! offsets, and a flag compaction gathers the valid pairs, producing
+//! per-query offsets followed by each query's valid elements sorted by
+//! key.
+//!
+//! **What the host runs.**  The search of [`crate::count`], then, per
+//! query, the same newest-first stable merge with each value moving along
+//! with its key; each valid first element of a key run is appended to the
+//! result as it is found, so a lane group writes its pairs once, already
+//! in the output layout.  With more than one group the groups' results
+//! are concatenated in query order.
+//!
+//! **What the device model books.**  The five stages of the paper's
+//! pipeline, as for count, plus stage 5's scan of the per-query counts
+//! and the compaction of the candidates down to the returned pairs.
 
-use gpu_primitives::compact::compact_pairs_by_flag;
-use gpu_primitives::scan::exclusive_scan;
 use rayon::prelude::*;
 
-use crate::count::{split_by_offsets, Candidates};
-use crate::key::{is_regular, original_key, Key, Value};
+use crate::count::{valid_firsts, Bounds};
+use crate::key::{original_key, Key, Value};
 use crate::lsm::GpuLsm;
 
 /// The result of a batch of range queries.
@@ -100,73 +110,58 @@ impl GpuLsm {
     /// Execute a batch of range queries `(k1, k2)`, returning every valid
     /// pair with `k1 <= key <= k2`, sorted by key, for each query.
     pub fn range(&self, queries: &[(Key, Key)]) -> RangeResult {
-        let candidates = self.device().timer().time("range::gather", || {
-            self.gather_candidates(queries, "lsm_range")
-        });
-        self.device().timer().time("range::validate", || {
-            self.compact_valid(queries.len(), candidates)
-        })
-    }
-
-    /// Stage 5 for range queries: mark the newest instance of each key when
-    /// it is regular, then compact the marked pairs per query.
-    fn compact_valid(&self, num_queries: usize, candidates: Candidates) -> RangeResult {
-        let Candidates {
-            keys,
-            values,
-            segment_offsets,
-        } = candidates;
-
-        // Mark valid elements: first (newest) element of each key run within
-        // its segment, and only if it is a regular element.
-        let mut flags = vec![false; keys.len()];
-        {
-            let flag_segments = split_by_offsets(&mut flags, &segment_offsets);
-            flag_segments
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(q, seg)| {
-                    let start = segment_offsets[q];
-                    let seg_keys = &keys[start..start + seg.len()];
-                    let mut i = 0usize;
-                    while i < seg_keys.len() {
-                        let key = seg_keys[i] >> 1;
-                        seg[i] = is_regular(seg_keys[i]);
-                        i += 1;
-                        while i < seg_keys.len() && seg_keys[i] >> 1 == key {
-                            seg[i] = false;
-                            i += 1;
+        let timer = self.device().timer();
+        let bounds = timer.time("range::gather", || Bounds::search(self, queries));
+        let result = timer.time("range::validate", || {
+            let groups: Vec<RangeResult> = bounds
+                .par_groups()
+                .map(|group| {
+                    // The group's candidates bound its output: one
+                    // allocation per column.
+                    let candidates = group.clone().flatten().map(|&(lo, hi)| hi - lo).sum();
+                    let mut out = RangeResult {
+                        offsets: Vec::with_capacity(group.len() + 1),
+                        keys: Vec::with_capacity(candidates),
+                        values: Vec::with_capacity(candidates),
+                    };
+                    out.offsets.push(0);
+                    let mut bufs = Default::default();
+                    for query in group {
+                        let (keys, values) = bounds.merged_pairs(query, &mut bufs);
+                        for i in valid_firsts(keys) {
+                            out.keys.push(original_key(keys[i]));
+                            out.values.push(values[i]);
                         }
+                        out.offsets.push(out.keys.len());
                     }
-                });
-        }
-
-        // Per-query valid counts -> output offsets.
-        let per_query_counts: Vec<u64> = (0..num_queries)
-            .into_par_iter()
-            .map(|q| {
-                flags[segment_offsets[q]..segment_offsets[q + 1]]
-                    .iter()
-                    .filter(|&&f| f)
-                    .count() as u64
-            })
-            .collect();
-        let (query_offsets, total_valid) = exclusive_scan(self.device(), &per_query_counts);
-
-        // Compact the flagged pairs; the flag-based compaction preserves
-        // order, so each query's elements stay contiguous and key-sorted.
-        let (kept_keys, kept_values) = compact_pairs_by_flag(self.device(), &keys, &values, &flags);
-        debug_assert_eq!(kept_keys.len(), total_valid as usize);
-
-        let mut offsets: Vec<usize> = query_offsets.iter().map(|&o| o as usize).collect();
-        offsets.push(total_valid as usize);
-
-        RangeResult {
-            offsets,
-            keys: kept_keys.iter().map(|&k| original_key(k)).collect(),
-            values: kept_values,
-        }
+                    out
+                })
+                .collect();
+            concat(queries.len(), groups)
+        });
+        bounds.record(self.device(), "lsm_range", Some(result.total_len()));
+        result
     }
+}
+
+/// Concatenate lane groups' results in query order into one result of
+/// `num_queries` queries (all empty when there are no groups).
+fn concat(num_queries: usize, groups: Vec<RangeResult>) -> RangeResult {
+    let mut groups = groups.into_iter();
+    let Some(mut out) = groups.next() else {
+        return RangeResult {
+            offsets: vec![0; num_queries + 1],
+            ..RangeResult::default()
+        };
+    };
+    for group in groups {
+        let base = out.keys.len();
+        out.offsets
+            .extend(group.offsets[1..].iter().map(|&o| base + o));
+        out.keys.extend(group.keys);
+        out.values.extend(group.values);
+    }
+    out
 }
 
 #[cfg(test)]

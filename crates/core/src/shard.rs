@@ -573,7 +573,7 @@ impl ShardedLsm {
         // attribution is unknowable), so per-shard load stays comparable
         // across rebalances in `stats()`.
         let (parent_updates, parent_lookups) =
-            table.shards[s].with_read(|l| (l.stats().update_ops, l.stats().lookup_ops));
+            table.shards[s].with_read(|l| l.op_activity.snapshot());
         let left_updates = parent_updates / 2;
         let left_lookups = parent_lookups / 2;
         left.with_read(|l| {
@@ -629,10 +629,8 @@ impl ShardedLsm {
         let merged = self.build_shard(&pairs)?;
         // Counter inheritance, as in `split_shard_at`: the merged shard
         // carries the sum of its parents' cumulative operation counters.
-        let (a_updates, a_lookups) =
-            table.shards[s].with_read(|l| (l.stats().update_ops, l.stats().lookup_ops));
-        let (b_updates, b_lookups) =
-            table.shards[s + 1].with_read(|l| (l.stats().update_ops, l.stats().lookup_ops));
+        let (a_updates, a_lookups) = table.shards[s].with_read(|l| l.op_activity.snapshot());
+        let (b_updates, b_lookups) = table.shards[s + 1].with_read(|l| l.op_activity.snapshot());
         merged.with_read(|l| {
             l.op_activity.record_updates(a_updates + b_updates);
             l.op_activity.record_lookups(a_lookups + b_lookups);

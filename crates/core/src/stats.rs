@@ -63,7 +63,9 @@ impl OpActivity {
         }
     }
 
-    fn snapshot(&self) -> (u64, u64) {
+    /// `(update_ops, lookup_ops)`: an O(1) read, unlike
+    /// [`GpuLsm::stats`], which walks every resident element.
+    pub(crate) fn snapshot(&self) -> (u64, u64) {
         (
             self.update_ops.load(Ordering::Relaxed),
             self.lookup_ops.load(Ordering::Relaxed),

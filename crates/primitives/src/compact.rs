@@ -1,11 +1,12 @@
 //! Stream compaction: keep the flagged elements of a buffer, preserving
 //! their relative order (CUB `DeviceSelect::Flagged` equivalent).
 //!
-//! Range queries compact each query's validated candidates down to the valid
-//! ones (paper §IV-D stage 5), and cleanup compacts all valid elements after
-//! stale marking (§IV-E step 3).  The implementation is scan + scatter: an
-//! exclusive scan of the 0/1 flags yields each surviving element's output
-//! position, and a parallel scatter moves them.
+//! The paper's range queries compact each query's validated candidates
+//! down to the valid ones (§IV-D stage 5; the host range query books that
+//! compaction without running it), and the sorted-array baseline compacts
+//! away the elements a delete batch removes.  The implementation is scan +
+//! scatter: an exclusive scan of the 0/1 flags yields each surviving
+//! element's output position, and a parallel scatter moves them.
 
 use gpu_sim::{AccessPattern, Device};
 use rayon::prelude::*;

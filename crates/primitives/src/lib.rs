@@ -3,11 +3,13 @@
 //! The paper builds the GPU LSM out of a small set of bulk primitives taken
 //! from CUB and moderngpu: radix sort, merge, exclusive scan, segmented sort,
 //! stream compaction and the authors' two-bucket multisplit.  This crate
-//! provides those primitives, implemented from scratch on top of the
-//! [`gpu_sim`] substrate: every primitive decomposes its input into block
-//! tiles (sized for the modelled device's shared memory), runs the blocks in
-//! parallel, and records the global-memory traffic it would generate so the
-//! cost model can estimate device time.
+//! provides all but the segmented sort (count and range merge each query's
+//! level slices in its place, and book the sort's modelled cost),
+//! implemented from scratch on top of the [`gpu_sim`] substrate: every
+//! primitive decomposes its input into block tiles (sized for the modelled
+//! device's shared memory), runs the blocks in parallel, and records the
+//! global-memory traffic it would generate so the cost model can estimate
+//! device time.
 //!
 //! Semantics the GPU LSM depends on:
 //!
@@ -16,10 +18,8 @@
 //! * [`merge`] is **stable** under an arbitrary comparator, and "stable"
 //!   additionally means *the first input wins ties*, which is how the LSM
 //!   keeps more recent elements ahead of older ones (§IV-A).
-//! * [`segmented_sort`] sorts each query's candidate segment by key while
-//!   preserving the temporal (index) order of equal keys.
 //! * [`multisplit`] is a stable two-bucket partition (valid/stale) used by
-//!   cleanup and range compaction.
+//!   cleanup.
 //! * [`filter`] and [`fence`] are the query-acceleration structures built
 //!   once per level on the insert path: a blocked Bloom filter (one
 //!   cache-line block per membership test) and a fence array (sparse sorted
@@ -50,7 +50,6 @@ pub mod radix_sort;
 pub mod reduce;
 pub mod scan;
 pub mod search;
-pub mod segmented_sort;
 pub(crate) mod util;
 
 pub use compact::{compact_by_flag, compact_pairs_by_flag};

@@ -95,10 +95,69 @@ where
     out[o..].copy_from_slice(&b[j..]);
 }
 
-/// Raw core of the sequential key/value merge, ties favouring `a`, for
-/// unequal-length inputs: branchless take-a/take-b selection (on random
-/// keys the branch is a coin flip and mispredictions would dominate) and
-/// unchecked indexing (the loop conditions already bound `i` and `j`).
+/// Rounds shorter than this end a dual-chain merge's two chains, and one
+/// chain merges what is left between them.
+const MIN_CHAIN_ROUND: usize = 8;
+
+/// The step count of the next round of a dual-chain merge of inputs of
+/// `na` and `nb` elements, the front chain having consumed `i` and `j` and
+/// written up to `o`, the back chain having left `ib` and `jb` unconsumed
+/// and written from `ob`: as many steps as neither chain can run off an
+/// input nor into the other's output in.  `None` once that is below
+/// [`MIN_CHAIN_ROUND`].
+fn chain_round(
+    na: usize,
+    nb: usize,
+    (i, j, o): (usize, usize, usize),
+    (ib, jb, ob): (usize, usize, usize),
+) -> Option<usize> {
+    let steps = ((ob - o) / 2).min(na - i).min(nb - j).min(ib).min(jb);
+    (steps >= MIN_CHAIN_ROUND).then_some(steps)
+}
+
+/// Sequentially merge sorted `a` and `b` into `out`, ties favouring `a`,
+/// booking no device traffic: the host core for callers that book the
+/// modelled cost of their merges themselves (count and range book the
+/// paper's segmented sort for theirs).  `out.len()` must equal
+/// `a.len() + b.len()`.
+///
+/// A merge step waits on the previous one (its indices pick the next
+/// pair to compare), so two chains run interleaved: the front one takes
+/// from `b` only when strictly smaller, the back one fills the output
+/// from its end and takes from `a` only when strictly larger — the same
+/// stable merge from both ends, two steps in flight at a time.  Once
+/// either chain nears the end of an input, one chain merges the elements
+/// neither consumed into the output between them.
+pub fn seq_merge_into<T, F>(a: &[T], b: &[T], out: &mut [T], less: &F)
+where
+    T: Copy,
+    F: Fn(&T, &T) -> bool,
+{
+    assert_eq!(out.len(), a.len() + b.len(), "output slice length mismatch");
+    let (mut i, mut j, mut o) = (0, 0, 0);
+    let (mut ib, mut jb, mut ob) = (a.len(), b.len(), out.len());
+    while let Some(steps) = chain_round(a.len(), b.len(), (i, j, o), (ib, jb, ob)) {
+        for _ in 0..steps {
+            let take_b = less(&b[j], &a[i]);
+            out[o] = if take_b { b[j] } else { a[i] };
+            i += usize::from(!take_b);
+            j += usize::from(take_b);
+            o += 1;
+            let take_a = less(&b[jb - 1], &a[ib - 1]);
+            ob -= 1;
+            out[ob] = if take_a { a[ib - 1] } else { b[jb - 1] };
+            ib -= usize::from(take_a);
+            jb -= usize::from(!take_a);
+        }
+    }
+    serial_merge_into(&a[i..ib], &b[j..jb], &mut out[o..ob], less);
+}
+
+/// Raw single-chain core of the key/value merge, ties favouring `a` (the
+/// middle of [`dual_merge_pairs_raw`], and each tile of the tiled merge):
+/// branchless take-a/take-b selection (on random keys the branch is a
+/// coin flip and mispredictions would dominate) and unchecked indexing
+/// (the loop conditions already bound `i` and `j`).
 ///
 /// # Safety
 /// `out_keys`/`out_vals` must each point at `a_keys.len() + b_keys.len()`
@@ -143,6 +202,116 @@ unsafe fn seq_merge_pairs_raw<F>(
     std::ptr::copy_nonoverlapping(b_vals.as_ptr().add(j), out_vals.add(o), b_vals.len() - j);
 }
 
+/// Raw dual-chain core of the sequential key/value merge, ties favouring
+/// `a`: the chains of [`seq_merge_into`] with unchecked indexing, and
+/// [`seq_merge_pairs_raw`] for the middle.  Equal-length inputs (every
+/// carry-chain merge of the LSM) run as one round of `a.len()` steps per
+/// chain, with nothing left in the middle.
+///
+/// # Safety
+/// `out_keys`/`out_vals` must each point at `a_keys.len() + b_keys.len()`
+/// writable `u32` slots (initialized or not) that do not overlap any
+/// input, and each value slice must be as long as its keys.  A round of
+/// `steps` is at most `na - i` and `nb - j` (so the front chain reads
+/// `a[i]` and `b[j]` in bounds), at most `ib` and `jb` (so the back
+/// chain reads `a[ib - 1]` and `b[jb - 1]` in bounds) and at most half of
+/// `ob - o` (so the front chain's writes at `o` stay below the back
+/// chain's at `ob - 1`).  Every step consumes one element and writes one
+/// slot, so the middle merge of `a[i..ib]` and `b[j..jb]` fills exactly
+/// the slots `o..ob`.
+// Inlined into each caller: called out of line from the carry chain, the
+// small merges of a b = 1024 insert run measured ~35% slower.
+#[inline(always)]
+unsafe fn dual_merge_pairs_raw<F>(
+    a_keys: &[u32],
+    a_vals: &[u32],
+    b_keys: &[u32],
+    b_vals: &[u32],
+    out_keys: *mut u32,
+    out_vals: *mut u32,
+    less: &F,
+) where
+    F: Fn(&u32, &u32) -> bool,
+{
+    let (na, nb) = (a_keys.len(), b_keys.len());
+    let (mut i, mut j, mut o) = (0, 0, 0);
+    let (mut ib, mut jb, mut ob) = (na, nb, na + nb);
+    while let Some(steps) = chain_round(na, nb, (i, j, o), (ib, jb, ob)) {
+        for _ in 0..steps {
+            let take_b = less(b_keys.get_unchecked(j), a_keys.get_unchecked(i));
+            *out_keys.add(o) = if take_b {
+                *b_keys.get_unchecked(j)
+            } else {
+                *a_keys.get_unchecked(i)
+            };
+            *out_vals.add(o) = if take_b {
+                *b_vals.get_unchecked(j)
+            } else {
+                *a_vals.get_unchecked(i)
+            };
+            i += usize::from(!take_b);
+            j += usize::from(take_b);
+            o += 1;
+            let take_a = less(b_keys.get_unchecked(jb - 1), a_keys.get_unchecked(ib - 1));
+            ob -= 1;
+            *out_keys.add(ob) = if take_a {
+                *a_keys.get_unchecked(ib - 1)
+            } else {
+                *b_keys.get_unchecked(jb - 1)
+            };
+            *out_vals.add(ob) = if take_a {
+                *a_vals.get_unchecked(ib - 1)
+            } else {
+                *b_vals.get_unchecked(jb - 1)
+            };
+            ib -= usize::from(take_a);
+            jb -= usize::from(!take_a);
+        }
+    }
+    seq_merge_pairs_raw(
+        &a_keys[i..ib],
+        &a_vals[i..ib],
+        &b_keys[j..jb],
+        &b_vals[j..jb],
+        out_keys.add(o),
+        out_vals.add(o),
+        less,
+    );
+}
+
+/// [`seq_merge_into`] for key–value sequences: each value moves with its
+/// key, and no device traffic is booked.
+pub fn seq_merge_pairs_into<F>(
+    a_keys: &[u32],
+    a_vals: &[u32],
+    b_keys: &[u32],
+    b_vals: &[u32],
+    out_keys: &mut [u32],
+    out_vals: &mut [u32],
+    less: &F,
+) where
+    F: Fn(&u32, &u32) -> bool,
+{
+    assert_eq!(a_keys.len(), a_vals.len());
+    assert_eq!(b_keys.len(), b_vals.len());
+    let n = a_keys.len() + b_keys.len();
+    assert_eq!(out_keys.len(), n, "output slice length mismatch");
+    assert_eq!(out_vals.len(), n, "output slice length mismatch");
+    // SAFETY: the output slices hold exactly `n` writable slots, borrowed
+    // mutably so they overlap no input; the value lengths were checked.
+    unsafe {
+        dual_merge_pairs_raw(
+            a_keys,
+            a_vals,
+            b_keys,
+            b_vals,
+            out_keys.as_mut_ptr(),
+            out_vals.as_mut_ptr(),
+            less,
+        );
+    }
+}
+
 /// Sequential key/value merge into fresh vectors: output written into
 /// uninitialized capacity (a `vec![0; n]` zero-fill would be a pure extra
 /// memory sweep per merge).
@@ -160,115 +329,10 @@ where
     let mut keys: Vec<u32> = Vec::with_capacity(n);
     let mut vals: Vec<u32> = Vec::with_capacity(n);
     // SAFETY: the freshly reserved capacity holds exactly `n` slots and the
-    // raw core writes every one of them before `set_len(n)`.
+    // raw core writes every one of them before `set_len(n)`; callers
+    // checked the value lengths.
     unsafe {
-        seq_merge_pairs_raw(
-            a_keys,
-            a_vals,
-            b_keys,
-            b_vals,
-            keys.as_mut_ptr(),
-            vals.as_mut_ptr(),
-            less,
-        );
-        keys.set_len(n);
-        vals.set_len(n);
-    }
-    (keys, vals)
-}
-
-/// Parity merge for **equal-length** inputs: a forward chain produces the
-/// first half of the output while an independent backward chain produces
-/// the second half, doubling the instruction-level parallelism of the
-/// dependency-bound merge loop.
-///
-/// Correctness: with `a.len() == b.len() == h`, the forward chain executes
-/// the first `h` take-decisions of the unique stable tie-favouring-`a`
-/// merge — within those steps neither input can run dry (`i + j = t < h`
-/// bounds both indices), so no end-of-array fallback is needed.  The
-/// backward chain symmetrically reproduces the *last* `h` decisions: it
-/// takes the larger tail element, and on ties takes from `b`, which is
-/// exactly the reverse of "ties favour `a`".  Both chains therefore emit
-/// disjoint halves of the same merged sequence.
-/// # Safety
-/// `out_keys`/`out_vals` must each point at `2 * a_keys.len()` writable
-/// `u32` slots (initialized or not) that do not overlap any input.  At
-/// iteration t the forward chain has consumed i + j = t < h items, so
-/// i < h and j < h bound its reads, and it writes o = t; the backward
-/// chain has consumed (h - ib) + (h - jb) = t < h items, so ib ≥ 1 and
-/// jb ≥ 1 bound its reads, and it writes n - 1 - t.  Over h iterations
-/// the two chains write exactly 0..h and h..n, so every slot is written
-/// exactly once.
-unsafe fn parity_merge_pairs_raw<F>(
-    a_keys: &[u32],
-    a_vals: &[u32],
-    b_keys: &[u32],
-    b_vals: &[u32],
-    out_keys: *mut u32,
-    out_vals: *mut u32,
-    less: &F,
-) where
-    F: Fn(&u32, &u32) -> bool,
-{
-    let h = a_keys.len();
-    debug_assert_eq!(h, b_keys.len());
-    let n = 2 * h;
-    let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
-    let (mut ib, mut jb, mut ob) = (h, h, n);
-    for _ in 0..h {
-        // Forward: take from b only if strictly smaller (ties go to a).
-        let take_b = less(b_keys.get_unchecked(j), a_keys.get_unchecked(i));
-        *out_keys.add(o) = if take_b {
-            *b_keys.get_unchecked(j)
-        } else {
-            *a_keys.get_unchecked(i)
-        };
-        *out_vals.add(o) = if take_b {
-            *b_vals.get_unchecked(j)
-        } else {
-            *a_vals.get_unchecked(i)
-        };
-        i += usize::from(!take_b);
-        j += usize::from(take_b);
-        o += 1;
-        // Backward: take the larger tail element; ties go to b, the
-        // mirror of the forward rule.
-        let back_a = less(b_keys.get_unchecked(jb - 1), a_keys.get_unchecked(ib - 1));
-        ob -= 1;
-        *out_keys.add(ob) = if back_a {
-            *a_keys.get_unchecked(ib - 1)
-        } else {
-            *b_keys.get_unchecked(jb - 1)
-        };
-        *out_vals.add(ob) = if back_a {
-            *a_vals.get_unchecked(ib - 1)
-        } else {
-            *b_vals.get_unchecked(jb - 1)
-        };
-        ib -= usize::from(back_a);
-        jb -= usize::from(!back_a);
-    }
-}
-
-/// Parity merge into fresh vectors (uninitialized-capacity output, as in
-/// [`seq_merge_pairs`]).
-fn parity_merge_pairs<F>(
-    a_keys: &[u32],
-    a_vals: &[u32],
-    b_keys: &[u32],
-    b_vals: &[u32],
-    less: &F,
-) -> (Vec<u32>, Vec<u32>)
-where
-    F: Fn(&u32, &u32) -> bool,
-{
-    let n = 2 * a_keys.len();
-    let mut keys: Vec<u32> = Vec::with_capacity(n);
-    let mut vals: Vec<u32> = Vec::with_capacity(n);
-    // SAFETY: the freshly reserved capacity holds exactly `n` slots and the
-    // raw core writes every one of them before `set_len(n)`.
-    unsafe {
-        parity_merge_pairs_raw(
+        dual_merge_pairs_raw(
             a_keys,
             a_vals,
             b_keys,
@@ -430,12 +494,6 @@ where
     // Small merges (the bottom of the LSM carry chain) go straight to a
     // sequential key/value merge: no tile splits, no zero-fill.
     if n <= SEQUENTIAL_MERGE_CUTOFF {
-        if a_keys.len() == b_keys.len() {
-            // The LSM carry chain always merges a buffer of b·2^i elements
-            // with a level of the same size, so the equal-length parity
-            // merge applies on the hot path.
-            return parity_merge_pairs(a_keys, a_vals, b_keys, b_vals, &less);
-        }
         return seq_merge_pairs(a_keys, a_vals, b_keys, b_vals, &less);
     }
     let mut keys: Vec<u32> = Vec::with_capacity(n);
@@ -488,33 +546,13 @@ pub fn merge_pairs_by_into<F>(
     if n == 0 {
         return;
     }
+    if n <= SEQUENTIAL_MERGE_CUTOFF {
+        seq_merge_pairs_into(a_keys, a_vals, b_keys, b_vals, out_keys, out_vals, &less);
+        return;
+    }
     // SAFETY: the output slices hold exactly `n` writable slots, borrowed
     // mutably so they overlap no input.
     unsafe {
-        if n <= SEQUENTIAL_MERGE_CUTOFF {
-            if a_keys.len() == b_keys.len() {
-                parity_merge_pairs_raw(
-                    a_keys,
-                    a_vals,
-                    b_keys,
-                    b_vals,
-                    out_keys.as_mut_ptr(),
-                    out_vals.as_mut_ptr(),
-                    &less,
-                );
-            } else {
-                seq_merge_pairs_raw(
-                    a_keys,
-                    a_vals,
-                    b_keys,
-                    b_vals,
-                    out_keys.as_mut_ptr(),
-                    out_vals.as_mut_ptr(),
-                    &less,
-                );
-            }
-            return;
-        }
         par_merge_pairs_raw(
             device,
             a_keys,
@@ -616,7 +654,7 @@ mod tests {
         let device = device();
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(23);
-        // Cover the sequential unequal, sequential parity and tiled-parallel
+        // Cover the sequential (unequal and equal lengths) and tiled-parallel
         // arms of the into-variant against the allocating reference.
         for (a_len, b_len) in [
             (100usize, 37usize),
@@ -700,12 +738,12 @@ mod tests {
             b_len_raw in 0usize..600,
             seed in any::<u32>()
         ) {
-            // Exercises both sequential pair-merge paths.  Independent
-            // lengths essentially never collide, so half the cases force
-            // b_len == a_len to drive the parity merge (the LSM
-            // carry-chain shape); the rest hit the unidirectional
-            // fallback.  Duplicate-heavy keys probe the tie-favours-a
-            // rule; values tag provenance and input order.
+            // Exercises the sequential pair merge.  Independent lengths
+            // essentially never collide, so half the cases force b_len ==
+            // a_len, where both chains run one round to the middle (the
+            // LSM carry-chain shape); the rest leave a middle to the
+            // single-chain merge.  Duplicate-heavy keys probe the
+            // tie-favours-a rule; values tag provenance and input order.
             let b_len = if seed % 2 == 0 { a_len } else { b_len_raw };
             let device = device();
             let mut a_keys: Vec<u32> = (0..a_len as u32)
@@ -737,8 +775,21 @@ mod tests {
                     j += 1;
                 }
             }
-            prop_assert_eq!(keys, exp_keys);
-            prop_assert_eq!(vals, exp_vals);
+            prop_assert_eq!(&keys, &exp_keys);
+            prop_assert_eq!(&vals, &exp_vals);
+            // The unrecorded dual-chain cores merge to the same order.
+            let (mut out_keys, mut out_vals) = (vec![0; keys.len()], vec![0; keys.len()]);
+            seq_merge_pairs_into(
+                &a_keys, &a_vals, &b_keys, &b_vals, &mut out_keys, &mut out_vals, &lt,
+            );
+            prop_assert_eq!(&out_keys, &exp_keys);
+            prop_assert_eq!(&out_vals, &exp_vals);
+            let a: Vec<(u32, u32)> = a_keys.iter().copied().zip(a_vals).collect();
+            let b: Vec<(u32, u32)> = b_keys.iter().copied().zip(b_vals).collect();
+            let mut out = vec![(0, 0); a.len() + b.len()];
+            seq_merge_into(&a, &b, &mut out, &|x: &(u32, u32), y: &(u32, u32)| x.0 < y.0);
+            let expected: Vec<(u32, u32)> = exp_keys.into_iter().zip(exp_vals).collect();
+            prop_assert_eq!(out, expected);
         }
 
         #[test]

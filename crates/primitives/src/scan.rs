@@ -1,11 +1,12 @@
 //! Device-wide exclusive and inclusive prefix sums (CUB `ExclusiveSum`
 //! equivalent).
 //!
-//! The GPU LSM uses an exclusive scan to turn per-query per-level result
-//! estimates into output offsets (paper §IV-C stage 2).  The implementation
-//! is the classical three-phase decomposition: per-block partial sums in
-//! parallel, a scan of the block sums, then a parallel down-sweep that adds
-//! each block's offset to its local prefix.
+//! The paper's GPU LSM uses an exclusive scan to turn per-query per-level
+//! result estimates into output offsets (§IV-C stage 2; the host count and
+//! range book that scan without running it).  The implementation is the
+//! classical three-phase decomposition: per-block partial sums in
+//! parallel, a scan of the block sums, then a parallel down-sweep that
+//! adds each block's offset to its local prefix.
 
 use gpu_sim::Device;
 use rayon::prelude::*;

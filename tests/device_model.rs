@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gpu_lsm::{GpuLsm, LsmConfig};
+use gpu_lsm::{GpuLsm, LsmConfig, MAX_KEY};
 use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_primitives::merge::{merge_pairs_by, merge_pairs_by_into};
 use gpu_sim::metrics::KernelMetricsSnapshot;
@@ -202,6 +202,95 @@ fn cuckoo_and_sorted_array_share_the_same_accounting() {
         snap["sa_lookup"].scattered_transactions,
         snap["cuckoo_lookup"].scattered_transactions
     );
+}
+
+#[test]
+fn count_and_range_book_the_five_stage_pipeline_in_closed_form() {
+    let dev = device();
+    // A bulk-built level plus carry-built ones, with tombstones, so the
+    // intervals meet several levels and gather stale candidates too.
+    let pairs = unique_random_pairs(7 * 1024, 12);
+    let mut lsm = GpuLsm::bulk_build(dev.clone(), 512, &pairs[..4096]).unwrap();
+    for chunk in pairs[4096..].chunks(512) {
+        lsm.insert(chunk).unwrap();
+    }
+    let doomed: Vec<u32> = pairs
+        .iter()
+        .step_by(13)
+        .take(512)
+        .map(|&(k, _)| k)
+        .collect();
+    lsm.delete(&doomed).unwrap();
+    assert!(lsm.num_occupied_levels() >= 3);
+    let mut intervals: Vec<(u32, u32)> = pairs
+        .iter()
+        .step_by(61)
+        .map(|&(k, _)| (k, k.saturating_add(1 << 22)))
+        .collect();
+    // An inverted interval and one clamped into the key domain.
+    intervals.extend([(10, 5), (MAX_KEY - (1 << 22), u32::MAX)]);
+
+    // The closed forms, from the levels alone: two fence-narrowed
+    // searches per intersecting (query, level) pair, and the candidates
+    // between the lower bounds of `k1` and of `k2 + 1`.
+    let levels: Vec<_> = lsm.levels().iter_occupied().map(|(_, l)| l).collect();
+    let (mut probes, mut candidates) = (0u64, 0u64);
+    for &(k1, k2) in &intervals {
+        let k2 = k2.min(MAX_KEY);
+        for level in levels
+            .iter()
+            .filter(|l| k1 <= k2 && l.interval_intersects(k1, k2))
+        {
+            probes += 2 * u64::from(level.search_probe_depth());
+            candidates += (level.lower_bound(k2 + 1) - level.lower_bound(k1)) as u64;
+        }
+    }
+    assert!(probes > 0 && candidates > 0);
+    let (q, l) = (intervals.len() as u64, levels.len() as u64);
+    let streamed = |launches: u64, bytes: u64| KernelMetricsSnapshot {
+        launches,
+        coalesced_read_bytes: bytes,
+        coalesced_write_bytes: bytes,
+        ..KernelMetricsSnapshot::default()
+    };
+    // The search kernel: its probes, plus the gather of the candidates'
+    // key-value pairs (one scattered read booking, one coalesced store).
+    let search = KernelMetricsSnapshot {
+        launches: 1,
+        coalesced_write_bytes: 8 * candidates,
+        scattered_read_bytes: 4 * probes + 8 * candidates,
+        scattered_transactions: probes + 1,
+        ..KernelMetricsSnapshot::default()
+    };
+
+    dev.reset_counters();
+    let _ = lsm.count(&intervals);
+    let count = dev.metrics().snapshot();
+    assert_eq!(count["lsm_count"], search);
+    assert_eq!(count["exclusive_scan"], streamed(1, 8 * q * l));
+    assert_eq!(count["segmented_sort_pairs"], streamed(1, 8 * candidates));
+    assert_eq!(count.len(), 3, "{count:?}");
+
+    dev.reset_counters();
+    let result = lsm.range(&intervals);
+    let range = dev.metrics().snapshot();
+    let valid = result.total_len() as u64;
+    assert_eq!(range["lsm_range"], search);
+    // Stage 2's scan of the estimates, stage 5's scan of the per-query
+    // counts and the compaction's scan of its flags.
+    assert_eq!(
+        range["exclusive_scan"],
+        streamed(3, 8 * q * l + 8 * q + 4 * candidates)
+    );
+    assert_eq!(range["segmented_sort_pairs"], streamed(1, 8 * candidates));
+    let compact = KernelMetricsSnapshot {
+        launches: 1,
+        coalesced_read_bytes: 8 * candidates,
+        coalesced_write_bytes: 8 * valid,
+        ..KernelMetricsSnapshot::default()
+    };
+    assert_eq!(range["compact"], compact);
+    assert_eq!(range.len(), 4, "{range:?}");
 }
 
 /// Levels of `lsm` that carry a Bloom filter.
