@@ -10,7 +10,7 @@ use gpu_lsm::GpuLsm;
 use lsm_workloads::unique_random_pairs;
 
 use super::experiment_device;
-use crate::measure::{elements_per_sec_m, time_once};
+use crate::measure::{elements_per_sec_m, modelled_time_once, rate_m_from_seconds, time_once};
 use crate::report::{fmt_rate, Table};
 
 /// Build rates (M elements/s) for all three structures at one size.
@@ -26,6 +26,10 @@ pub struct BulkBuildResult {
     pub sa_rate: f64,
     /// Cuckoo hash build rate (80 % load factor).
     pub cuckoo_rate: f64,
+    /// GPU LSM bulk-build rate in modelled device time (deterministic).
+    pub lsm_modelled_rate: f64,
+    /// Sorted-array build rate in modelled device time (deterministic).
+    pub sa_modelled_rate: f64,
 }
 
 /// Run the bulk-build comparison for `num_elements` elements.
@@ -33,9 +37,12 @@ pub fn run(num_elements: usize, batch_size: usize, seed: u64) -> BulkBuildResult
     let device = experiment_device();
     let pairs = unique_random_pairs(num_elements, seed);
 
-    let (_, t_lsm) =
-        time_once(|| GpuLsm::bulk_build(device.clone(), batch_size, &pairs).expect("bulk build"));
-    let (_, t_sa) = time_once(|| SortedArray::bulk_build(device.clone(), &pairs));
+    let ((_, t_lsm), m_lsm) = modelled_time_once(&device, || {
+        time_once(|| GpuLsm::bulk_build(device.clone(), batch_size, &pairs).expect("bulk build"))
+    });
+    let ((_, t_sa), m_sa) = modelled_time_once(&device, || {
+        time_once(|| SortedArray::bulk_build(device.clone(), &pairs))
+    });
     let (_, t_cuckoo) = time_once(|| CuckooHashTable::bulk_build(device, &pairs));
 
     BulkBuildResult {
@@ -44,6 +51,8 @@ pub fn run(num_elements: usize, batch_size: usize, seed: u64) -> BulkBuildResult
         lsm_rate: elements_per_sec_m(num_elements, t_lsm),
         sa_rate: elements_per_sec_m(num_elements, t_sa),
         cuckoo_rate: elements_per_sec_m(num_elements, t_cuckoo),
+        lsm_modelled_rate: rate_m_from_seconds(num_elements, m_lsm),
+        sa_modelled_rate: rate_m_from_seconds(num_elements, m_sa),
     }
 }
 
@@ -76,8 +85,9 @@ mod tests {
         assert!(result.sa_rate > 0.0);
         assert!(result.cuckoo_rate > 0.0);
         // The LSM bulk build is a sort plus slicing: it should be within a
-        // small factor of the plain sorted-array build.
-        let ratio = result.lsm_rate / result.sa_rate;
+        // small factor of the plain sorted-array build (compared in
+        // modelled device time, so load cannot flip it).
+        let ratio = result.lsm_modelled_rate / result.sa_modelled_rate;
         assert!(ratio > 0.3 && ratio < 3.0, "LSM/SA build ratio {ratio}");
     }
 

@@ -9,6 +9,7 @@
 //! serialise against everything else — the same guarantee the GPU gets from
 //! launching update and query kernels in separate phases.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -28,12 +29,16 @@ use crate::stats::LsmStats;
 #[derive(Debug, Clone)]
 pub struct ConcurrentGpuLsm {
     inner: Arc<RwLock<GpuLsm>>,
+    /// A copy of the batch counter `r`, refreshed under the write lock, so
+    /// a sharded fan-out can size its work without taking the lock.
+    batches: Arc<AtomicUsize>,
 }
 
 impl ConcurrentGpuLsm {
     /// Wrap an existing LSM.
     pub fn new(lsm: GpuLsm) -> Self {
         ConcurrentGpuLsm {
+            batches: Arc::new(AtomicUsize::new(lsm.num_batches())),
             inner: Arc::new(RwLock::new(lsm)),
         }
     }
@@ -45,22 +50,37 @@ impl ConcurrentGpuLsm {
 
     /// Apply a mixed update batch (exclusive phase).
     pub fn update(&self, batch: &UpdateBatch) -> Result<()> {
-        self.inner.write().update(batch)
+        self.write(|lsm| lsm.update(batch))
     }
 
     /// Insert key–value pairs (exclusive phase).
     pub fn insert(&self, pairs: &[(Key, Value)]) -> Result<()> {
-        self.inner.write().insert(pairs)
+        self.write(|lsm| lsm.insert(pairs))
     }
 
     /// Delete keys (exclusive phase).
     pub fn delete(&self, keys: &[Key]) -> Result<()> {
-        self.inner.write().delete(keys)
+        self.write(|lsm| lsm.delete(keys))
     }
 
     /// Remove stale elements and rebuild the levels (exclusive phase).
     pub fn cleanup(&self) -> CleanupReport {
-        self.inner.write().cleanup()
+        self.write(GpuLsm::cleanup)
+    }
+
+    /// Run `f` under the write lock and refresh the batch-counter copy
+    /// before releasing it.
+    fn write<R>(&self, f: impl FnOnce(&mut GpuLsm) -> R) -> R {
+        let mut lsm = self.inner.write();
+        let out = f(&mut lsm);
+        self.batches.store(lsm.num_batches(), Ordering::Relaxed);
+        out
+    }
+
+    /// The batch counter `r` as of the last completed write, read without
+    /// the lock: a work estimate for sizing a fan-out, not a snapshot.
+    pub(crate) fn num_batches(&self) -> usize {
+        self.batches.load(Ordering::Relaxed)
     }
 
     /// Bulk lookups (shared phase: may run concurrently with other queries).
@@ -109,7 +129,10 @@ impl ConcurrentGpuLsm {
     pub fn try_into_inner(self) -> std::result::Result<GpuLsm, Self> {
         match Arc::try_unwrap(self.inner) {
             Ok(lock) => Ok(lock.into_inner()),
-            Err(arc) => Err(ConcurrentGpuLsm { inner: arc }),
+            Err(inner) => Err(ConcurrentGpuLsm {
+                inner,
+                batches: self.batches,
+            }),
         }
     }
 }

@@ -74,36 +74,6 @@ impl RangeResult {
     pub fn total_len(&self) -> usize {
         self.keys.len()
     }
-
-    /// Assemble a result whose query `q` is the concatenation of the slice
-    /// parts returned by `parts_of(q)`, in order.
-    ///
-    /// This is the cross-shard reassembly primitive: a key-range sharded
-    /// structure answers each query with one [`RangeResult`] slice per
-    /// shard it fans out to, and because shards own ascending disjoint key
-    /// ranges, concatenating the per-shard slices in shard order keeps each
-    /// query's pairs globally sorted by key — the same layout a single
-    /// structure produces.
-    pub fn from_query_parts<'a, F>(num_queries: usize, parts_of: F) -> RangeResult
-    where
-        F: Fn(usize) -> Vec<(&'a [Key], &'a [Value])>,
-    {
-        let mut out = RangeResult {
-            offsets: Vec::with_capacity(num_queries + 1),
-            keys: Vec::new(),
-            values: Vec::new(),
-        };
-        out.offsets.push(0);
-        for q in 0..num_queries {
-            for (keys, values) in parts_of(q) {
-                debug_assert_eq!(keys.len(), values.len());
-                out.keys.extend_from_slice(keys);
-                out.values.extend_from_slice(values);
-            }
-            out.offsets.push(out.keys.len());
-        }
-        out
-    }
 }
 
 impl GpuLsm {

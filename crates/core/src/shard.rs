@@ -10,12 +10,40 @@
 //! its own lock:
 //!
 //! * **Updates** are split by shard in one stable multisplit-style pass and
-//!   applied to distinct shards in parallel; updates touching disjoint
-//!   shards no longer serialise against each other.
+//!   applied to the owning shards; updates touching disjoint shards no
+//!   longer serialise against each other.
 //! * **Queries** fan out to the owning shards and are reassembled in input
 //!   order; because the partition is by key *range*, per-shard `count`
 //!   answers sum and per-shard `range` answers concatenate in shard order
 //!   into a globally key-sorted result.
+//!
+//! ## When shards run concurrently
+//!
+//! Every fan-out (update, lookup, count, range and stats) tells the worker
+//! pool the call's real work, and the pool's sequential cutoff alone
+//! decides.  At or above it the touched shards run at the same time,
+//! split into contiguous runs, one per core, so a shard tends to stay on
+//! one core from call to call; below it they run one after another on the
+//! caller's thread.  Each task takes its one shard lock itself.  The work
+//! is counted in what the shards will run:
+//!
+//! * a query call: per touched shard, sub-queries × occupied levels, the
+//!   (query, level) lane passes of the level search;
+//! * an update: `b` per touched shard, since each sub-batch is padded to
+//!   `b`;
+//! * stats: the resident elements.
+//!
+//! Occupied levels and resident elements come from each touched shard's
+//! batch counter `r`, read from a copy the shard keeps outside its lock
+//! (refreshed by every write while it holds the write lock).  Sizing a
+//! call takes no lock, so a query takes each touched shard's lock once,
+//! inside its task, and never waits on a writer just to size the call.
+//! A call of a few hundred keys or a few dozen spans stays on the
+//! caller's thread and leaves the pool to the writer's carry merges.
+//! A 4096-key call uses every core,
+//! and so does a 1024-span call once its shards hold four or more
+//! occupied levels.  Bulk build and cleanup run shard by shard (see
+//! [`ShardedLsm::bulk_build`] and [`ShardedLsm::cleanup`]).
 //!
 //! ## Online shard split/merge
 //!
@@ -67,15 +95,12 @@ use crate::error::{LsmError, Result};
 use crate::key::{is_tombstone, original_key, Key, Value, MAX_KEY};
 use crate::lsm::GpuLsm;
 use crate::range::RangeResult;
-use crate::router::ShardRouter;
+use crate::router::{ShardRouter, SubQuery};
 use crate::stats::LsmStats;
 use crate::validate::InvariantViolation;
 
 /// Per-shard routed point queries: the keys and their input positions.
 type RoutedLookups = (Vec<Key>, Vec<usize>);
-/// Per-shard routed interval queries: the clamped intervals and their
-/// originating query indices.
-type RoutedIntervals = (Vec<(Key, Key)>, Vec<usize>);
 
 /// Bound on the recent-batch key reservoir feeding split-point fitting.
 const RECENT_KEY_CAP: usize = 1024;
@@ -261,8 +286,11 @@ impl ShardedLsm {
     }
 
     /// Bulk-build a sharded LSM from arbitrary key–value pairs: the pairs
-    /// are partitioned by shard and each shard is bulk-built independently
-    /// (in parallel).  Configured like [`ShardedLsm::new`].
+    /// are partitioned by shard and the shards are bulk-built one after
+    /// another.  Each build's radix sort already runs on the worker pool;
+    /// building shards at the same time would hold several shards' sort
+    /// buffers at once, trading peak memory for a little set-up time.
+    /// Configured like [`ShardedLsm::new`].
     pub fn bulk_build(
         device: Arc<gpu_sim::Device>,
         batch_size: usize,
@@ -310,15 +338,14 @@ impl ShardedLsm {
                 per_shard[router.shard_of(k)].push((k, v));
             }
         }
-        let shards: Vec<Result<ConcurrentGpuLsm>> = per_shard
-            .par_iter()
+        // Shard by shard, on purpose: see `bulk_build`.
+        let shards = per_shard
+            .iter()
             .map(|shard_pairs| {
-                let lsm =
-                    GpuLsm::bulk_build_resolved(device.clone(), batch_size, shard_pairs, &config)?;
-                Ok(ConcurrentGpuLsm::new(lsm))
+                GpuLsm::bulk_build_resolved(device.clone(), batch_size, shard_pairs, &config)
+                    .map(ConcurrentGpuLsm::new)
             })
-            .collect();
-        let shards = shards.into_iter().collect::<Result<Vec<_>>>()?;
+            .collect::<Result<Vec<_>>>()?;
         let ids = (0..num_shards as u64).collect();
         Ok(ShardedLsm {
             device,
@@ -445,7 +472,9 @@ impl ShardedLsm {
     // ------------------------------------------------------------------
 
     /// Apply a mixed update batch: validated as a whole, split by shard in
-    /// one stable pass, then applied to the owning shards in parallel.
+    /// one stable pass, then applied to the owning shards, at the same time
+    /// when `b` per touched shard reaches the pool's cutoff (see the module
+    /// docs).
     ///
     /// Validation happens *before* any shard is touched, so an invalid
     /// batch mutates nothing.  Each shard receives at most one sub-batch
@@ -474,8 +503,9 @@ impl ShardedLsm {
                     return Err(LsmError::KeyOutOfRange { key: op.key() });
                 }
 
-                let parts = table.router.split_updates(batch);
-                let work: Vec<(usize, UpdateBatch)> = parts
+                let parts: Vec<(usize, UpdateBatch)> = table
+                    .router
+                    .split_updates(batch)
                     .into_iter()
                     .enumerate()
                     .filter(|(_, p)| !p.is_empty())
@@ -484,11 +514,16 @@ impl ShardedLsm {
                 // keys in domain), so per-shard updates cannot fail; the
                 // expect documents that invariant rather than handling a
                 // reachable error.
-                work.par_iter().for_each(|(s, part)| {
-                    table.shards[*s]
-                        .update(part)
-                        .expect("validated sub-batch cannot be rejected");
-                });
+                fan_out(
+                    &parts,
+                    // Each sub-batch is padded to b.
+                    |_| self.batch_size,
+                    |(s, part)| {
+                        table.shards[*s]
+                            .update(part)
+                            .expect("validated sub-batch cannot be rejected");
+                    },
+                );
             }
         }
         if self.config.rebalance.enabled {
@@ -508,11 +543,14 @@ impl ShardedLsm {
     }
 
     /// Remove stale elements from every shard (each under its own write
-    /// lock, in parallel) and return the aggregated report.
+    /// lock, one shard after another) and return the aggregated report.
+    /// Each shard's cleanup merges all its levels into new arrays, so, as
+    /// in [`ShardedLsm::bulk_build`], running shards at the same time would
+    /// hold several shards' buffers at once.
     pub fn cleanup(&self) -> CleanupReport {
         let table = self.table.read();
-        let reports: Vec<CleanupReport> = table.shards.par_iter().map(|s| s.cleanup()).collect();
-        reports.into_iter().fold(
+        // Shard by shard, on purpose: see above.
+        table.shards.iter().map(ConcurrentGpuLsm::cleanup).fold(
             CleanupReport {
                 elements_before: 0,
                 valid_elements: 0,
@@ -811,22 +849,25 @@ impl ShardedLsm {
     // ------------------------------------------------------------------
 
     /// Bulk point lookups: routed to the owning shards, executed per shard
-    /// in parallel through [`GpuLsm::lookup`] (each shard searches its
-    /// sub-batch in the callers' order), reassembled in input order.
+    /// through [`GpuLsm::lookup`] (each shard searches its sub-batch in the
+    /// callers' order), reassembled in input order.  The shards run at the
+    /// same time when the call's (key, level) lane passes reach the pool's
+    /// cutoff (see the module docs).
     pub fn lookup(&self, queries: &[Key]) -> Vec<Option<Value>> {
         self.lookup_with(queries, ConcurrentGpuLsm::lookup)
     }
 
     /// Warp-style bulk lookups: routed to the owning shards, executed per
-    /// shard in parallel through [`GpuLsm::bulk_get`] (each shard sorts its
-    /// sub-batch first), reassembled in input order.  Results are
+    /// shard through [`GpuLsm::bulk_get`] (each shard sorts its sub-batch
+    /// first), reassembled in input order; the shards run at the same
+    /// time by the same rule as [`ShardedLsm::lookup`].  Results are
     /// identical to [`ShardedLsm::lookup`].
     pub fn bulk_get(&self, queries: &[Key]) -> Vec<Option<Value>> {
         self.lookup_with(queries, ConcurrentGpuLsm::bulk_get)
     }
 
     /// Shared fan-out of the point lookups: route, resolve each shard's
-    /// sub-batch with `resolve` in parallel, reassemble in input order.
+    /// sub-batch with `resolve`, reassemble in input order.
     fn lookup_with(
         &self,
         queries: &[Key],
@@ -834,15 +875,16 @@ impl ShardedLsm {
     ) -> Vec<Option<Value>> {
         let table = self.table_snapshot();
         let parts = table.router.split_lookups(queries);
-        let work: Vec<(usize, &RoutedLookups)> = parts
+        let routed: Vec<(usize, &RoutedLookups)> = parts
             .iter()
             .enumerate()
             .filter(|(_, (keys, _))| !keys.is_empty())
             .collect();
-        let shard_answers: Vec<(&[usize], Vec<Option<Value>>)> = work
-            .par_iter()
-            .map(|(s, (keys, positions))| (positions.as_slice(), resolve(&table.shards[*s], keys)))
-            .collect();
+        let shard_answers = fan_out(
+            &routed,
+            |(s, (keys, _))| lane_passes(&table.shards[*s], keys.len()),
+            |(s, (keys, positions))| (positions.as_slice(), resolve(&table.shards[*s], keys)),
+        );
         let mut out = vec![None; queries.len()];
         for (positions, answers) in shard_answers {
             for (&pos, ans) in positions.iter().zip(answers) {
@@ -854,74 +896,51 @@ impl ShardedLsm {
 
     /// Bulk count queries: each interval is decomposed into per-shard
     /// sub-intervals; sub-counts are disjoint by construction (shards own
-    /// disjoint key ranges) so they sum to the global answer.
+    /// disjoint key ranges) so they sum to the global answer.  The shards
+    /// run at the same time by the rule of [`ShardedLsm::lookup`].
     pub fn count(&self, queries: &[(Key, Key)]) -> Vec<u32> {
         let table = self.table_snapshot();
-        let num_shards = table.shards.len();
-        let subs = table.router.split_intervals(queries);
-        // Group sub-queries by shard, remembering the originating query.
-        let mut per_shard: Vec<RoutedIntervals> = vec![(Vec::new(), Vec::new()); num_shards];
-        for sub in &subs {
-            per_shard[sub.shard].0.push((sub.lo, sub.hi));
-            per_shard[sub.shard].1.push(sub.query);
-        }
-        let work: Vec<(usize, &RoutedIntervals)> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, (qs, _))| !qs.is_empty())
-            .collect();
-        let shard_answers: Vec<(&[usize], Vec<u32>)> = work
-            .par_iter()
-            .map(|(s, (qs, origins))| (origins.as_slice(), table.shards[*s].count(qs)))
-            .collect();
+        let (subs, by_shard) = intervals_with(&table, queries, ConcurrentGpuLsm::count);
+        // Sub-queries come query-major and shard-ascending, and each
+        // shard's answers in the order its sub-queries were emitted.
+        let mut next = vec![0; by_shard.len()];
         let mut out = vec![0u32; queries.len()];
-        for (origins, counts) in shard_answers {
-            for (&q, c) in origins.iter().zip(counts) {
-                out[q] += c;
-            }
+        for sub in &subs {
+            out[sub.query] += by_shard[sub.shard][next[sub.shard]];
+            next[sub.shard] += 1;
         }
         out
     }
 
     /// Bulk range queries: per-shard sub-results are concatenated in shard
     /// order per query, which yields each query's pairs globally sorted by
-    /// key (the partition is by key range).
+    /// key (the partition is by key range).  The shards run at the same
+    /// time by the rule of [`ShardedLsm::lookup`].
     pub fn range(&self, queries: &[(Key, Key)]) -> RangeResult {
         let table = self.table_snapshot();
-        let num_shards = table.shards.len();
-        let subs = table.router.split_intervals(queries);
-        let mut per_shard: Vec<Vec<(Key, Key)>> = vec![Vec::new(); num_shards];
-        // For each input query, the (shard slot, index within that shard's
-        // sub-query list) pairs, in shard-ascending order — split_intervals
-        // emits them that way.
-        let mut assembly: Vec<Vec<(usize, usize)>> = vec![Vec::new(); queries.len()];
+        let (subs, by_shard) = intervals_with(&table, queries, ConcurrentGpuLsm::range);
+        let total = by_shard.iter().map(RangeResult::total_len).sum();
+        let mut out = RangeResult {
+            offsets: Vec::with_capacity(queries.len() + 1),
+            keys: Vec::with_capacity(total),
+            values: Vec::with_capacity(total),
+        };
+        out.offsets.push(0);
+        // One pass over the sub-queries, which come query-major and
+        // shard-ascending: a query's shard slices are appended in key
+        // order, and its offset closes when the next query begins.
+        let mut next = vec![0; by_shard.len()];
         for sub in &subs {
-            assembly[sub.query].push((sub.shard, per_shard[sub.shard].len()));
-            per_shard[sub.shard].push((sub.lo, sub.hi));
+            while out.offsets.len() <= sub.query {
+                out.offsets.push(out.keys.len());
+            }
+            let (keys, values) = by_shard[sub.shard].query(next[sub.shard]);
+            next[sub.shard] += 1;
+            out.keys.extend_from_slice(keys);
+            out.values.extend_from_slice(values);
         }
-        let work: Vec<(usize, &Vec<(Key, Key)>)> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, qs)| !qs.is_empty())
-            .collect();
-        let shard_results: Vec<(usize, RangeResult)> = work
-            .par_iter()
-            .map(|(s, qs)| (*s, table.shards[*s].range(qs)))
-            .collect();
-        // Shard slot -> its RangeResult (shards without work stay None).
-        let mut by_shard: Vec<Option<RangeResult>> = (0..num_shards).map(|_| None).collect();
-        for (s, r) in shard_results {
-            by_shard[s] = Some(r);
-        }
-        RangeResult::from_query_parts(queries.len(), |q| {
-            assembly[q]
-                .iter()
-                .map(|&(s, local)| {
-                    let r = by_shard[s].as_ref().expect("shard with sub-queries ran");
-                    r.query(local)
-                })
-                .collect()
-        })
+        out.offsets.resize(queries.len() + 1, out.keys.len());
+        out
     }
 
     /// Bulk successor queries (smallest valid key strictly greater than
@@ -1014,10 +1033,17 @@ impl ShardedLsm {
     // Diagnostics
     // ------------------------------------------------------------------
 
-    /// Aggregated statistics: per-shard snapshots plus service totals.
+    /// Aggregated statistics: per-shard snapshots plus service totals.  The
+    /// shards are scanned at the same time when their resident elements
+    /// reach the pool's cutoff (see the module docs).
     pub fn stats(&self) -> ShardedStats {
         let table = self.table_snapshot();
-        let per_shard: Vec<LsmStats> = table.shards.par_iter().map(|s| s.stats()).collect();
+        let per_shard = fan_out(
+            &table.shards,
+            // Resident elements, r · b: each shard's stats scan them.
+            |s| s.num_batches() * self.batch_size,
+            ConcurrentGpuLsm::stats,
+        );
         let (splits, merges) = {
             let st = self.rebalance.lock();
             (st.splits, st.merges)
@@ -1095,6 +1121,61 @@ impl ShardedLsm {
         }
         Ok(())
     }
+}
+
+/// Run `task` on every item of a shard fan-out and collect the results in
+/// item order: at the same time when the items' summed `work` reaches the
+/// pool's sequential cutoff, else one after another on the caller's
+/// thread (see the module docs).  Each item counts at least one unit, its
+/// shard's lock and call, so a cutoff of 1 (`LSM_PAR_CUTOFF=1`) sends
+/// every multi-shard fan-out through the pool.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    work: impl Fn(&T) -> usize,
+    task: impl Fn(&T) -> R + Sync + Send + Clone,
+) -> Vec<R> {
+    let work = items.iter().map(|item| work(item).max(1)).sum();
+    items.par_iter().with_work(work).map(task).collect()
+}
+
+/// The (query, level) lane passes of `queries` sub-queries on `shard`:
+/// one per query and occupied level (the popcount of its batch counter).
+fn lane_passes(shard: &ConcurrentGpuLsm, queries: usize) -> usize {
+    queries * shard.num_batches().count_ones() as usize
+}
+
+/// Shared fan-out of the interval queries: route `queries` to per-shard
+/// sub-queries and answer each touched shard's list with `resolve`.
+/// Returns the sub-queries as [`ShardRouter::split_intervals`] emits them
+/// (query-major, shard-ascending) and one answer per shard, in shard
+/// order (`R::default()` for a shard no query touched).
+fn intervals_with<R: Default + Send>(
+    table: &RoutingTable,
+    queries: &[(Key, Key)],
+    resolve: impl Fn(&ConcurrentGpuLsm, &[(Key, Key)]) -> R + Sync,
+) -> (Vec<SubQuery>, Vec<R>) {
+    let subs = table.router.split_intervals(queries);
+    let mut per_shard: Vec<Vec<(Key, Key)>> = vec![Vec::new(); table.shards.len()];
+    for sub in &subs {
+        per_shard[sub.shard].push((sub.lo, sub.hi));
+    }
+    let routed: Vec<(usize, &Vec<(Key, Key)>)> = per_shard
+        .iter()
+        .enumerate()
+        .filter(|(_, qs)| !qs.is_empty())
+        .collect();
+    let answers = fan_out(
+        &routed,
+        |(s, qs)| lane_passes(&table.shards[*s], qs.len()),
+        |(s, qs)| resolve(&table.shards[*s], qs),
+    );
+    let mut by_shard: Vec<R> = std::iter::repeat_with(R::default)
+        .take(table.shards.len())
+        .collect();
+    for (&(s, _), answer) in routed.iter().zip(answers) {
+        by_shard[s] = answer;
+    }
+    (subs, by_shard)
 }
 
 #[cfg(test)]
@@ -1264,6 +1345,69 @@ mod tests {
         assert_eq!(lsm.count(&[(0, MAX_KEY)]), vec![100]);
         // Every shard received some of the evenly spread keys.
         assert!(lsm.stats().per_shard.iter().all(|s| s.total_elements > 0));
+    }
+
+    /// Every shard's lock-free batch-counter copy, which sizes the
+    /// fan-outs, equals its counter: a stale copy would send large calls
+    /// inline.
+    fn assert_batch_copies_current(lsm: &ShardedLsm) {
+        for shard in &lsm.table_snapshot().shards {
+            assert_eq!(shard.num_batches(), shard.with_read(GpuLsm::num_batches));
+        }
+    }
+
+    #[test]
+    fn batch_counter_copies_follow_every_write_and_rebuild() {
+        let lsm = sharded(4, 2);
+        let keys: Vec<u32> = (0..8).map(|i| key_in(2, i % 2, i as u32)).collect();
+        let mut batch = UpdateBatch::new();
+        batch.insert(keys[0], 1).insert(keys[1], 2).delete(keys[2]);
+        lsm.update(&batch).unwrap();
+        assert_batch_copies_current(&lsm);
+        let pairs: Vec<(u32, u32)> = keys[..4].iter().map(|&k| (k, k % 100)).collect();
+        lsm.insert(&pairs).unwrap();
+        assert_batch_copies_current(&lsm);
+        lsm.delete(&keys[4..6]).unwrap();
+        assert_batch_copies_current(&lsm);
+        lsm.cleanup();
+        assert_batch_copies_current(&lsm);
+        lsm.insert(&pairs).unwrap();
+        lsm.split_shard_at(0, keys[2]).unwrap();
+        assert_batch_copies_current(&lsm);
+        lsm.merge_shards(0).unwrap();
+        assert_batch_copies_current(&lsm);
+
+        let built = ShardedLsm::bulk_build(device(), 4, 2, &pairs).unwrap();
+        assert_batch_copies_current(&built);
+
+        // Crash recovery reassembles the service from recovered shards.
+        let recovered: Vec<GpuLsm> = (0..2)
+            .map(|s| {
+                let mut shard = GpuLsm::new(device(), 4).unwrap();
+                for i in 0..=s as u32 {
+                    shard.insert(&[(key_in(2, s, i), i)]).unwrap();
+                }
+                shard
+            })
+            .collect();
+        let config = lsm.config().clone();
+        let restored = ShardedLsm::from_parts(
+            device(),
+            4,
+            ShardRouter::new(2).unwrap(),
+            config,
+            recovered,
+            3,
+        )
+        .unwrap();
+        assert_batch_copies_current(&restored);
+        let copies: Vec<usize> = restored
+            .table_snapshot()
+            .shards
+            .iter()
+            .map(ConcurrentGpuLsm::num_batches)
+            .collect();
+        assert_eq!(copies, vec![1, 2]);
     }
 
     #[test]
