@@ -308,7 +308,9 @@ struct DurabilityState {
     /// snapshot even without new records (a split/merge changed the
     /// persistent layout).
     snapshot_epoch: AtomicU64,
-    /// Sequence number of the newest durable manifest (0 = none yet).
+    /// Sequence number of the active WAL segment: the newest manifest's,
+    /// or a later one after a snapshot that failed once it had rotated the
+    /// log (0 = none yet).  The next snapshot takes the number after it.
     manifest_seq: AtomicU64,
     /// Snapshots written by this process.
     snapshots: AtomicU64,
@@ -1301,14 +1303,34 @@ fn maybe_snapshot(shared: &Shared, state: &QueueState) -> Result<()> {
     }
 }
 
-/// The snapshot body proper: sync the WAL, write the next manifest
-/// generation (carrying unchanged run files over), rotate to a fresh
-/// segment, and garbage-collect superseded generations.
+/// The snapshot body proper: sync the WAL, rotate to a fresh segment,
+/// write the next manifest generation (carrying unchanged run files over),
+/// and garbage-collect superseded generations.
 fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
-    // Everything logged so far must be on disk before the manifest can
-    // supersede it (the manifest ends the previous generation).
-    lock_ignore_poison(&d.wal).sync()?;
     let seq = d.manifest_seq.load(Ordering::Relaxed) + 1;
+    {
+        let mut wal = lock_ignore_poison(&d.wal);
+        // Everything logged so far must be on disk before the manifest can
+        // supersede it (the manifest ends the previous generation).
+        wal.sync()?;
+        // Rotate before any run or manifest is written: a submit
+        // acknowledged after this point logs to segment `seq`, which
+        // recovery replays whichever manifest ends up newest, so a failure
+        // below loses no acknowledged record.
+        let fresh = Wal::create(
+            &d.vfs,
+            wal::segment_path(&d.config.dir, seq),
+            d.config.fsync_interval,
+            d.config.retry,
+        )?;
+        let old = std::mem::replace(&mut *wal, fresh);
+        d.retired_records.fetch_add(old.records, Ordering::Relaxed);
+        d.retired_syncs.fetch_add(old.syncs, Ordering::Relaxed);
+        d.retired_retries.fetch_add(old.retries, Ordering::Relaxed);
+    }
+    // Segment `seq` exists now, so even if the rest fails the next
+    // snapshot must take a later number: `Wal::create` truncates.
+    d.manifest_seq.store(seq, Ordering::Relaxed);
     let table = shared.service.table_snapshot();
     let prev = lock_ignore_poison(&d.prev_runs).clone();
     let shards: Vec<Vec<(usize, SnapshotRun)>> = table
@@ -1335,19 +1357,8 @@ fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
         &table.router.split_points(),
         &shards,
     )?;
-    let fresh = Wal::create(
-        &d.vfs,
-        wal::segment_path(&d.config.dir, seq),
-        d.config.fsync_interval,
-        d.config.retry,
-    )?;
-    let old = std::mem::replace(&mut *lock_ignore_poison(&d.wal), fresh);
-    d.retired_records.fetch_add(old.records, Ordering::Relaxed);
-    d.retired_syncs.fetch_add(old.syncs, Ordering::Relaxed);
-    d.retired_retries.fetch_add(old.retries, Ordering::Relaxed);
     d.records_since_snapshot.store(0, Ordering::Relaxed);
     d.snapshot_epoch.store(table.epoch, Ordering::Relaxed);
-    d.manifest_seq.store(seq, Ordering::Relaxed);
     d.snapshots.fetch_add(1, Ordering::Relaxed);
     d.runs_reused.fetch_add(reused, Ordering::Relaxed);
     let failures = wal::collect_garbage(&d.vfs, &d.config.dir, seq, &runs);
@@ -1358,7 +1369,7 @@ fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
 
 /// What a snapshot writes for `level`, given the run its slot referenced in
 /// the previous generation: that run again if it was written from this very
-/// level (same id, so same bytes), otherwise a copy of the contents.
+/// level (same id, so same bytes), otherwise the level encoded as a run file.
 fn snapshot_run(prev: Option<&RunRef>, level: &Level) -> SnapshotRun {
     match prev {
         Some(run) if run.level_id == level.id() => {
@@ -1373,11 +1384,7 @@ fn snapshot_run(prev: Option<&RunRef>, level: &Level) -> SnapshotRun {
             );
             SnapshotRun::Carried(*run)
         }
-        _ => SnapshotRun::Fresh {
-            id: level.id(),
-            keys: level.keys().to_vec(),
-            values: level.values().to_vec(),
-        },
+        _ => SnapshotRun::fresh(level.id(), level.keys(), level.values()),
     }
 }
 

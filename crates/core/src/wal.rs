@@ -16,18 +16,42 @@
 //! so a `(shard, level)` slot that still holds the level (by id) its run
 //! file was written from keeps referencing that file.  Such a carried
 //! level is not copied, encoded or hashed; a flush-barrier snapshot only
-//! pays for the levels built since the previous one.  Ids live in memory
-//! only: recovery binds each loaded run to the level it builds from it.
-//! The on-disk format (`MANIFEST_VERSION` 2, per-run file sequence
-//! numbers, lengths and digests) and the load-time checksum of every run
-//! file are the same whether a run was carried or written.
+//! pays for the levels built since the previous one, each encoded in one
+//! pass straight from the level's arrays under the shard's read lock.
+//! Ids live in memory only: recovery binds each loaded run to the level it
+//! builds from it.  The on-disk format (per-run file sequence numbers,
+//! lengths and digests) and the load-time checksum of every run file are
+//! the same whether a run was carried or written.
+//!
+//! Checksums: every WAL record payload, run file and manifest carries the
+//! same 64-bit digest.  It reads its input as little-endian 8-byte words,
+//! feeds them round-robin to four interleaved FNV-1a-style lanes (xor,
+//! multiply by the FNV prime, rotate), then folds the lanes, the byte
+//! length and the tail of fewer than 32 bytes into one state.  Four lanes
+//! keep four multiplies in flight, where byte-at-a-time FNV-1a waits on
+//! one dependent multiply per byte.
+//!
+//! Format 3 (`MANIFEST_VERSION` 3, record magic `"WAL3"`) introduced that
+//! digest.  Its record, run and manifest byte layouts and sizes are those
+//! of format 2, which checksummed byte-wise with FNV-1a; only the checksum
+//! values differ.  Recovery therefore refuses a format-2 directory — a
+//! manifest whose header names another version, or a segment whose first
+//! frame carries the format-2 record magic `"WALR"` — with a typed
+//! [`LsmError::Durability`] naming the version, before it changes any
+//! file.  Read as format 3, such a manifest would fail its checksum and be
+//! skipped, and such a segment would be truncated as a torn tail: the
+//! directory's whole log would be dropped without a word.
 //!
 //! The admission layer writes a snapshot at quiescent flush barriers and
-//! after shard split/merge epoch bumps, then rotates the WAL to a fresh
-//! segment keyed by the new manifest sequence number and garbage-collects
-//! the superseded generation (sparing carried-over runs).  Manifests
-//! become visible via an atomic tmp-write + rename, so a torn manifest
-//! write can never shadow a valid older one.
+//! after shard split/merge epoch bumps.  It first rotates the WAL to a
+//! fresh segment keyed by the new sequence number, then writes the runs
+//! and the manifest, and last garbage-collects the superseded generation
+//! (sparing carried-over runs).  Rotating first means a record
+//! acknowledged after a failed snapshot sits in a segment that recovery
+//! replays whichever manifest is newest, and the manifest's directory
+//! sync also persists the new segment's entry.  Manifests become visible
+//! via an atomic tmp-write + rename, so a torn manifest write can never
+//! shadow a valid older one.
 //!
 //! Every filesystem operation goes through the [`crate::vfs::Vfs`] seam.
 //! Transient IO errors on append/fsync are retried per [`RetryPolicy`];
@@ -48,6 +72,12 @@
 //! amortizes apply cost.  A crash may lose at most the un-synced suffix of
 //! records — each of which was never acknowledged as durable.
 
+// Input and IO reach this module from disk: none of it may panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -61,15 +91,18 @@ use crate::vfs::{RealVfs, Vfs, VfsFile};
 /// Default number of WAL record appends grouped per `fsync`.
 pub const DEFAULT_FSYNC_INTERVAL: usize = 8;
 
-/// Magic prefix of every WAL record frame (`"WALR"`).
-const RECORD_MAGIC: u32 = 0x5741_4C52;
+/// Magic prefix of every WAL record frame (`"WAL3"`).
+const RECORD_MAGIC: u32 = 0x5741_4C33;
+/// Record magic of format 2 (`"WALR"`), whose checksums were byte-wise
+/// FNV-1a: recovery refuses a segment that starts with it.
+const RECORD_MAGIC_V2: u32 = 0x5741_4C52;
 /// Magic prefix of a manifest file (`"MANI"`).
 const MANIFEST_MAGIC: u32 = 0x4D41_4E49;
 /// Magic prefix of a run file (`"RUNF"`).
 const RUN_MAGIC: u32 = 0x5255_4E46;
 /// Manifest format version (v2 added per-run file sequence numbers for
-/// incremental snapshots).
-const MANIFEST_VERSION: u32 = 2;
+/// incremental snapshots; v3 the word-wise digest).
+const MANIFEST_VERSION: u32 = 3;
 /// Upper bound on one record's payload, so a corrupt length field cannot
 /// drive a gigantic allocation before the checksum gets a chance to fail.
 const MAX_RECORD_PAYLOAD: usize = 1 << 26;
@@ -233,7 +266,9 @@ pub struct DurabilityStats {
     pub runs_reused: u64,
     /// Garbage-collection removals (or whole sweeps) that failed.
     pub gc_failures: u64,
-    /// Sequence number of the newest durable manifest (0 = none yet).
+    /// Sequence number of the newest durable manifest (0 = none yet).  A
+    /// snapshot that fails after rotating the WAL still advances it, to the
+    /// number of the segment it rotated to.
     pub manifest_seq: u64,
     /// Sticky health flag: the pipeline hit a persistent IO failure under
     /// [`DegradeMode::DegradeToVolatile`] and is no longer logging.
@@ -260,15 +295,47 @@ pub struct RecoveryReport {
 // Checksums and little-endian framing helpers
 // ----------------------------------------------------------------------
 
-/// FNV-1a 64-bit — cheap, dependency-free, and plenty for torn-write
-/// detection (this is not an adversarial setting).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
+/// FNV-1a's 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Starting states of the digest's lanes, distinct so that a word moved
+/// to another lane changes the result.
+const LANE_SEEDS: [u64; 4] = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+
+/// One FNV-1a step over a 64-bit word, then a rotation.  A multiply only
+/// carries a difference toward the high bits, so without the rotation a
+/// flip of a word's top bit would stay in its lane's top bit, and two such
+/// flips in one lane would cancel.
+fn fnv_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(FNV_PRIME).rotate_left(29)
+}
+
+/// The 64-bit checksum of WAL record payloads, run files and manifests:
+/// little-endian 8-byte words go round-robin to four FNV-1a-style lanes,
+/// then the lanes, the byte length and the tail of fewer than 32 bytes
+/// (its last partial word zero-padded) are folded into one state.  Cheap,
+/// dependency-free, and plenty for torn-write and bit-rot detection (this
+/// is not an adversarial setting).
+fn digest(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = LANE_SEEDS;
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = fnv_step(*lane, u64::from_le_bytes(*word));
+        }
     }
-    hash
+    let (words, rest) = tail.as_chunks::<8>();
+    let mut last = [0u8; 8];
+    for (byte, &b) in last.iter_mut().zip(rest) {
+        *byte = b;
+    }
+    lanes
+        .into_iter()
+        .chain([bytes.len() as u64])
+        .chain(words.iter().map(|&w| u64::from_le_bytes(w)))
+        .chain([u64::from_le_bytes(last)])
+        .fold(FNV_OFFSET, fnv_step)
 }
 
 fn io_err(context: &str, path: &Path, e: std::io::Error) -> LsmError {
@@ -283,12 +350,34 @@ fn corrupt(context: &str, path: &Path) -> LsmError {
     }
 }
 
+/// The refusal of a file written in another format version.
+fn unsupported_format(kind: &str, path: &Path, version: u32) -> LsmError {
+    LsmError::Durability {
+        context: format!(
+            "{kind} {} is in format version {version}; this build reads only format version \
+             {MANIFEST_VERSION}",
+            path.display()
+        ),
+    }
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Little-endian `u32`s, decoded in one pass (a trailing partial word is
+/// ignored; callers pass whole words).
+fn get_words(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&w| u32::from_le_bytes(w))
+        .collect()
 }
 
 /// A little-endian cursor over a byte slice; `None` means truncated input.
@@ -302,24 +391,29 @@ impl<'a> Cursor<'a> {
         Cursor { bytes, pos: 0 }
     }
 
+    /// The bytes not consumed yet.
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
+        let slice = self.rest().get(..n)?;
+        self.pos += n;
         Some(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let array = *self.rest().first_chunk::<N>()?;
+        self.pos += N;
+        Some(array)
+    }
+
     fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -368,7 +462,7 @@ fn sync_dir(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<()> {
 // WAL records
 // ----------------------------------------------------------------------
 
-/// Frame one batch: `magic | payload_len | fnv64(payload) | payload`,
+/// Frame one batch: `magic | payload_len | digest(payload) | payload`,
 /// payload = the ops as `(encoded_key, value)` pairs.  The encoded key
 /// carries the tombstone bit, so the op kind round-trips exactly.
 ///
@@ -377,25 +471,27 @@ fn sync_dir(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<()> {
 /// steady state allocates nothing per record — no intermediate payload
 /// vector, no fresh frame vector.
 fn encode_record_into(batch: &UpdateBatch, out: &mut Vec<u8>) {
-    let payload_len = batch.len() * 8;
     out.clear();
-    out.reserve(16 + payload_len);
     put_u32(out, RECORD_MAGIC);
-    put_u32(out, payload_len as u32);
+    put_u32(out, (batch.len() * 8) as u32);
     put_u64(out, 0); // checksum placeholder, patched below
-    for op in batch.ops() {
+    out.extend(batch.ops().iter().flat_map(|op| {
         let (k, v) = op.encode();
-        put_u32(out, k);
-        put_u32(out, v);
+        (u64::from(k) | u64::from(v) << 32).to_le_bytes()
+    }));
+    let checksum = digest(out.get(16..).unwrap_or_default());
+    if let Some(slot) = out.get_mut(8..16) {
+        slot.copy_from_slice(&checksum.to_le_bytes());
     }
-    let checksum = fnv1a(&out[16..]);
-    out[8..16].copy_from_slice(&checksum.to_le_bytes());
 }
 
+/// Decode a record payload in one pass over its 8-byte pairs.
 fn decode_payload(payload: &[u8]) -> UpdateBatch {
-    let mut batch = UpdateBatch::with_capacity(payload.len() / 8);
-    let mut cur = Cursor::new(payload);
-    while let (Some(k), Some(v)) = (cur.u32(), cur.u32()) {
+    let pairs = payload.as_chunks::<8>().0;
+    let mut batch = UpdateBatch::with_capacity(pairs.len());
+    for &pair in pairs {
+        let pair = u64::from_le_bytes(pair);
+        let (k, v) = (pair as u32, (pair >> 32) as u32);
         if is_tombstone(k) {
             batch.delete(original_key(k));
         } else {
@@ -423,10 +519,19 @@ pub struct SegmentScan {
 /// Scan a segment, stopping at the first frame that is short, has a bad
 /// magic, an oversized or misaligned length, a checksum mismatch, or an
 /// empty payload.  Everything after that point is tail, not data.
+///
+/// # Errors
+///
+/// [`LsmError::Durability`] when the segment cannot be read, or when its
+/// first frame carries the format-2 record magic: that segment holds
+/// records this build cannot verify, not a torn tail.
 pub fn scan_segment(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<SegmentScan> {
     let bytes = vfs
         .read(path)
         .map_err(|e| io_err("read segment", path, e))?;
+    if bytes.first_chunk::<4>() == Some(&RECORD_MAGIC_V2.to_le_bytes()) {
+        return Err(unsupported_format("segment", path, 2));
+    }
     let mut cur = Cursor::new(&bytes);
     let mut scan = SegmentScan {
         records: Vec::new(),
@@ -446,7 +551,7 @@ pub fn scan_segment(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<SegmentScan> {
         let Some(payload) = cur.take(len) else {
             break;
         };
-        if fnv1a(payload) != checksum {
+        if digest(payload) != checksum {
             break;
         }
         scan.records.push(decode_payload(payload));
@@ -684,13 +789,21 @@ pub(crate) enum SnapshotRun {
     /// was written from (same [`crate::level::Level`] id, hence the same
     /// bytes): the manifest references that file again.
     Carried(RunRef),
-    /// Any other level: its contents, copied out of the shard, to be
-    /// encoded, checksummed and written as this generation's run file.
-    Fresh {
-        id: u64,
-        keys: Vec<EncodedKey>,
-        values: Vec<Value>,
-    },
+    /// Any other level: its run file, encoded while the shard was read,
+    /// to be checksummed and written as this generation's run file.
+    Fresh { id: u64, len: u64, bytes: Vec<u8> },
+}
+
+impl SnapshotRun {
+    /// Encode the level with id `id` and arrays `keys`/`values` as a fresh
+    /// run file, in one pass over each array.
+    pub(crate) fn fresh(id: u64, keys: &[EncodedKey], values: &[Value]) -> Self {
+        SnapshotRun::Fresh {
+            id,
+            len: keys.len() as u64,
+            bytes: encode_run(keys, values),
+        }
+    }
 }
 
 /// A run file referenced by a manifest: which generation physically wrote
@@ -739,23 +852,20 @@ pub(crate) struct LoadedSnapshot {
     pub corrupt_skipped: u64,
 }
 
+/// A run file: `magic | reserved | len | keys | values`, all little-endian.
 fn encode_run(keys: &[EncodedKey], values: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + keys.len() * 8);
     put_u32(&mut out, RUN_MAGIC);
     put_u32(&mut out, 0); // reserved
     put_u64(&mut out, keys.len() as u64);
-    for &k in keys {
-        put_u32(&mut out, k);
-    }
-    for &v in values {
-        put_u32(&mut out, v);
-    }
+    out.extend(keys.iter().flat_map(|k| k.to_le_bytes()));
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
     out
 }
 
 /// The digest a manifest records for the run file of these arrays.
 pub(crate) fn run_digest(keys: &[EncodedKey], values: &[Value]) -> u64 {
-    fnv1a(&encode_run(keys, values))
+    digest(&encode_run(keys, values))
 }
 
 fn decode_run(bytes: &[u8], path: &Path) -> Result<(Vec<EncodedKey>, Vec<Value>)> {
@@ -764,25 +874,20 @@ fn decode_run(bytes: &[u8], path: &Path) -> Result<(Vec<EncodedKey>, Vec<Value>)
     let (Some(RUN_MAGIC), Some(_), Some(len)) = header else {
         return Err(corrupt("bad run header in", path));
     };
-    let len = usize::try_from(len).map_err(|_| corrupt("oversized run in", path))?;
-    let mut keys = Vec::with_capacity(len);
-    let mut values = Vec::with_capacity(len);
-    for _ in 0..len {
-        keys.push(
-            cur.u32()
-                .ok_or_else(|| corrupt("truncated run keys in", path))?,
-        );
-    }
-    for _ in 0..len {
-        values.push(
-            cur.u32()
-                .ok_or_else(|| corrupt("truncated run values in", path))?,
-        );
-    }
-    if cur.pos != bytes.len() {
+    let array_bytes = usize::try_from(len)
+        .ok()
+        .and_then(|len| len.checked_mul(4))
+        .ok_or_else(|| corrupt("oversized run in", path))?;
+    let keys = cur
+        .take(array_bytes)
+        .ok_or_else(|| corrupt("truncated run keys in", path))?;
+    let values = cur
+        .take(array_bytes)
+        .ok_or_else(|| corrupt("truncated run values in", path))?;
+    if !cur.rest().is_empty() {
         return Err(corrupt("trailing bytes in run", path));
     }
-    Ok((keys, values))
+    Ok((get_words(keys), get_words(values)))
 }
 
 /// Write snapshot generation `meta.seq` from `shards` (per shard, its
@@ -821,18 +926,17 @@ pub(crate) fn write_snapshot(
                     reused += 1;
                     *r
                 }
-                SnapshotRun::Fresh { id, keys, values } => {
-                    let bytes = encode_run(keys, values);
+                SnapshotRun::Fresh { id, len, bytes } => {
                     let path = run_path(dir, meta.seq, s, *i);
-                    vfs.write(&path, &bytes)
+                    vfs.write(&path, bytes)
                         .map_err(|e| io_err("write run", &path, e))?;
                     vfs.sync_file(&path)
                         .map_err(|e| io_err("sync run", &path, e))?;
                     RunRef {
                         level_id: *id,
                         file_seq: meta.seq,
-                        len: keys.len() as u64,
-                        digest: fnv1a(&bytes),
+                        len: *len,
+                        digest: digest(bytes),
                     }
                 }
             };
@@ -843,7 +947,7 @@ pub(crate) fn write_snapshot(
             put_u64(&mut manifest, run_ref.digest);
         }
     }
-    let trailer = fnv1a(&manifest);
+    let trailer = digest(&manifest);
     put_u64(&mut manifest, trailer);
 
     let tmp = dir.join(format!("MANIFEST-{}.tmp", meta.seq));
@@ -858,17 +962,26 @@ pub(crate) fn write_snapshot(
     Ok((runs, reused))
 }
 
-/// Parse and fully validate one manifest generation, loading its runs.
-fn load_manifest(vfs: &Arc<dyn Vfs>, dir: &Path, seq: u64) -> Result<LoadedSnapshot> {
-    let path = manifest_path(dir, seq);
-    let bytes = vfs
-        .read(&path)
-        .map_err(|e| io_err("read manifest", &path, e))?;
-    if bytes.len() < 8 {
-        return Err(corrupt("short manifest", &path));
+/// Refuse a manifest whose header names another format version: its
+/// checksums cannot be verified here, so it is neither data nor corrupt.
+fn check_manifest_version(bytes: &[u8], path: &Path) -> Result<()> {
+    let mut cur = Cursor::new(bytes);
+    match (cur.u32(), cur.u32()) {
+        (Some(MANIFEST_MAGIC), Some(version)) if version != MANIFEST_VERSION => {
+            Err(unsupported_format("manifest", path, version))
+        }
+        _ => Ok(()),
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    if fnv1a(body) != u64::from_le_bytes(trailer.try_into().unwrap()) {
+}
+
+/// Parse and fully validate one manifest generation (its file `bytes`),
+/// loading its runs.
+fn load_manifest(vfs: &Arc<dyn Vfs>, dir: &Path, seq: u64, bytes: &[u8]) -> Result<LoadedSnapshot> {
+    let path = manifest_path(dir, seq);
+    let Some((body, trailer)) = bytes.split_last_chunk::<8>() else {
+        return Err(corrupt("short manifest", &path));
+    };
+    if digest(body) != u64::from_le_bytes(*trailer) {
         return Err(corrupt("manifest checksum mismatch in", &path));
     }
     let mut cur = Cursor::new(body);
@@ -903,14 +1016,14 @@ fn load_manifest(vfs: &Arc<dyn Vfs>, dir: &Path, seq: u64) -> Result<LoadedSnaps
         let mut levels = Vec::with_capacity(nlevels as usize);
         for _ in 0..nlevels {
             let entry = (cur.u32(), cur.u64(), cur.u64(), cur.u64());
-            let (Some(i), Some(run_seq), Some(len), Some(digest)) = entry else {
+            let (Some(i), Some(run_seq), Some(len), Some(checksum)) = entry else {
                 return Err(corrupt("truncated manifest", &path));
             };
             let rpath = run_path(dir, run_seq, s, i as usize);
             let run = vfs
                 .read(&rpath)
                 .map_err(|e| io_err("read run", &rpath, e))?;
-            if fnv1a(&run) != digest {
+            if digest(&run) != checksum {
                 return Err(corrupt("run checksum mismatch in", &rpath));
             }
             let (keys, values) = decode_run(&run, &rpath)?;
@@ -923,7 +1036,7 @@ fn load_manifest(vfs: &Arc<dyn Vfs>, dir: &Path, seq: u64) -> Result<LoadedSnaps
                     level_id: 0,
                     file_seq: run_seq,
                     len,
-                    digest,
+                    digest: checksum,
                 },
             );
             levels.push((i as usize, keys, values));
@@ -957,14 +1070,21 @@ fn manifest_seqs(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<Vec<u64>> {
 }
 
 /// Load the newest manifest that fully validates, skipping (and counting)
-/// corrupt newer ones.  `Ok(None)` means no usable snapshot exists.
+/// unreadable or corrupt newer ones.  `Ok(None)` means no usable snapshot
+/// exists.  A manifest of another format version is an error, not a skip.
 pub(crate) fn load_newest_snapshot(
     vfs: &Arc<dyn Vfs>,
     dir: &Path,
 ) -> Result<Option<LoadedSnapshot>> {
     let mut skipped = 0u64;
     for seq in manifest_seqs(vfs, dir)? {
-        match load_manifest(vfs, dir, seq) {
+        let path = manifest_path(dir, seq);
+        let Ok(bytes) = vfs.read(&path) else {
+            skipped += 1;
+            continue;
+        };
+        check_manifest_version(&bytes, &path)?;
+        match load_manifest(vfs, dir, seq, &bytes) {
             Ok(mut snapshot) => {
                 snapshot.corrupt_skipped = skipped;
                 return Ok(Some(snapshot));
@@ -1230,7 +1350,7 @@ mod tests {
     /// the writer beyond being recorded).
     fn fresh(level: usize, keys: Vec<u32>, values: Vec<u32>) -> (usize, SnapshotRun) {
         let id = 100 + level as u64;
-        (level, SnapshotRun::Fresh { id, keys, values })
+        (level, SnapshotRun::fresh(id, &keys, &values))
     }
 
     /// The file names in `dir`, sorted.
@@ -1369,6 +1489,114 @@ mod tests {
         assert_eq!(collect_garbage(&vfs, &dir, 2, &runs2), 0);
         assert!(!manifest_path(&dir, 1).exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The digest written the plain way: the words of the whole 32-byte
+    /// blocks in order, word `i` to lane `i % 4`; then the lanes, the
+    /// length, the tail's whole words and its zero-padded last partial
+    /// word, each through the same xor-multiply-rotate step.
+    fn reference_digest(bytes: &[u8]) -> u64 {
+        let step =
+            |state: u64, word: u64| (state ^ word).wrapping_mul(0x100_0000_01b3).rotate_left(29);
+        let word = |le: &[u8]| le.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
+        let whole = bytes.len() / 32 * 32;
+        let mut lanes = [0u64; 4];
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = 0xcbf2_9ce4_8422_2325 ^ i as u64;
+        }
+        for (i, w) in bytes[..whole].chunks(8).enumerate() {
+            lanes[i % 4] = step(lanes[i % 4], word(w));
+        }
+        let tail = bytes[whole..].chunks_exact(8);
+        let last = word(tail.remainder());
+        let mut state = 0xcbf2_9ce4_8422_2325;
+        for w in lanes
+            .into_iter()
+            .chain([bytes.len() as u64])
+            .chain(tail.map(word))
+            .chain([last])
+        {
+            state = step(state, w);
+        }
+        state
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn digest_matches_its_plain_reference_at_every_tail_shape() {
+        // Pinned too: the digest is part of the on-disk format.
+        let vectors = [
+            (0, 0x31fb_583c_52e5_d223u64),
+            (1, 0x8dfb_5060_72e5_c1f6),
+            (7, 0xdd1f_6db8_6fa3_26e0),
+            (8, 0xae66_8c1e_466d_b893),
+            (31, 0x61d4_d58b_1934_44a8),
+            (32, 0x03aa_a955_f1c0_3330),
+            (33, 0x5faa_8d82_d1c0_1743),
+            (4101, 0x0285_66b2_1940_33ce),
+        ];
+        for (len, pinned) in vectors {
+            let bytes = pattern(len);
+            assert_eq!(digest(&bytes), reference_digest(&bytes), "length {len}");
+            assert_eq!(digest(&bytes), pinned, "length {len}");
+        }
+    }
+
+    #[test]
+    fn digest_changes_with_every_bit_flip_lane_swap_and_dropped_byte() {
+        let bytes = pattern(1024);
+        let base = digest(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(digest(&flipped), base, "flip of bit {bit}");
+        }
+        // Words 0 and 1 of a block feed lanes 0 and 1.
+        let mut swapped = bytes.clone();
+        let (first, second) = swapped[64..80].split_at_mut(8);
+        first.swap_with_slice(second);
+        assert_ne!(digest(&swapped), base, "words swapped across lanes");
+        assert_ne!(digest(&bytes[..1023]), base, "last byte dropped");
+        // A zero last byte in the tail's partial word: without it the
+        // zero-padded word reads the same, so only the length differs.
+        let mut zero_last = pattern(1029);
+        zero_last[1028] = 0;
+        assert_ne!(
+            digest(&zero_last[..1028]),
+            digest(&zero_last),
+            "last zero byte dropped"
+        );
+        // Words 0 and 4 both feed lane 0: flipping the top bit of each
+        // cancels unless the step carries top bits back down.
+        let mut twice = bytes;
+        twice[7] ^= 0x80;
+        twice[32 + 7] ^= 0x80;
+        assert_ne!(digest(&twice), base, "two top-bit flips in one lane");
+    }
+
+    #[test]
+    fn record_and_run_layouts_keep_their_sizes() {
+        let mut record = Vec::new();
+        encode_record_into(
+            &batch(&[(1, Some(10)), (2, None), (3, Some(30))]),
+            &mut record,
+        );
+        assert_eq!(record.len(), 16 + 3 * 8);
+        assert_eq!(record[..4], RECORD_MAGIC.to_le_bytes());
+        assert_eq!(record[8..16], digest(&record[16..]).to_le_bytes());
+        let run = encode_run(&[3, 5, 9], &[30, 50, 90]);
+        assert_eq!(run.len(), 16 + 3 * 8);
+        assert_eq!(
+            decode_run(&run, Path::new("run")).unwrap(),
+            (vec![3, 5, 9], vec![30, 50, 90])
+        );
+        assert!(decode_run(&run[..run.len() - 1], Path::new("run")).is_err());
+        let mut long = run.clone();
+        long.push(0);
+        assert!(decode_run(&long, Path::new("run")).is_err());
     }
 
     #[test]

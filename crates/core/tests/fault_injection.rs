@@ -11,6 +11,8 @@
 //!   byte-for-byte the model truncated at the last durable batch;
 //! * the same failure under [`DegradeMode::FailStop`] must surface a typed
 //!   error from `submit` instead;
+//! * a flush barrier whose snapshot fails under fail-stop must keep every
+//!   record acknowledged after it recoverable;
 //! * a seeded fault sweep must always recover *some* exact batch prefix —
 //!   never a torn half-batch, never reordered state;
 //! * garbage-collection failures must be counted and surfaced, not
@@ -307,6 +309,62 @@ fn permanent_fsync_failure_fail_stops_with_typed_error() {
     assert_state(&lsm, &prefix, "recovered fail-stop state");
     drop(lsm);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flush barrier whose snapshot fails under fail-stop must not strand
+/// the records acknowledged after it: the barrier rotates the log before
+/// it writes a run or publishes the manifest, so those records sit in a
+/// segment that recovery replays from whichever manifest is newest.
+fn failed_barrier_keeps_later_acknowledged_records(tag: &str, fault: Fault) {
+    let dir = temp_dir(tag);
+    let fault = FaultVfs::scripted(vec![fault]);
+    let cfg = config_on(&dir, &fault, DurabilityConfig::new(&dir).fsync_interval(1));
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, cfg).unwrap();
+    let mut model = BTreeMap::from([(1, 10)]);
+    lsm.insert(&[(1, 10)]).unwrap();
+    let flushed = lsm.flush();
+    assert!(
+        matches!(flushed, Err(LsmError::Durability { .. })),
+        "{flushed:?}"
+    );
+    assert_eq!(fault.injected_faults(), 1);
+    // Acknowledged after the failed barrier, and synced (interval 1).
+    lsm.insert(&[(2, 20)]).unwrap();
+    model.insert(2, 20);
+    drop(lsm);
+
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, clean_config(&dir)).unwrap();
+    assert_state(&lsm, &model, "recovered after the failed barrier");
+    lsm.insert(&[(3, 30)]).unwrap();
+    model.insert(3, 30);
+    lsm.flush().unwrap(); // the next barrier succeeds
+    lsm.insert(&[(4, 40)]).unwrap();
+    model.insert(4, 40);
+    drop(lsm);
+
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, clean_config(&dir)).unwrap();
+    assert_state(&lsm, &model, "second recovery");
+    lsm.check_invariants().unwrap();
+    drop(lsm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_segment_create_at_a_barrier_loses_no_later_record() {
+    // Open 0 creates wal-0.log at open; open 1 is the barrier's new segment.
+    failed_barrier_keeps_later_acknowledged_records(
+        "rotate-open",
+        Fault::transient(FaultOp::Open, 1, io::ErrorKind::Other),
+    );
+}
+
+#[test]
+fn failed_manifest_dir_sync_at_a_barrier_loses_no_later_record() {
+    // The first directory sync is the one after the manifest's rename.
+    failed_barrier_keeps_later_acknowledged_records(
+        "rotate-dirsync",
+        Fault::transient(FaultOp::DirSync, 0, io::ErrorKind::Other),
+    );
 }
 
 /// Seeded chaos sweep: whatever the fault pattern does to the pipeline —

@@ -471,6 +471,81 @@ fn unchanged_runs_are_reused_across_snapshot_generations() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Byte-wise FNV-1a 64: the checksum of format 2, to build its files.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Every file in `dir` with its bytes, sorted by name.
+fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Recovery of a format-2 directory fails with a typed error naming the
+/// version, and leaves every file of the directory as it found it.
+fn assert_format_2_refused(dir: &Path) {
+    let before = dir_contents(dir);
+    match AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(dir)) {
+        Err(LsmError::Durability { context }) => {
+            assert!(context.contains("format version 2"), "{context}");
+        }
+        Err(other) => panic!("wrong error: {other}"),
+        Ok((_, report)) => panic!("format 2 recovered as format 3: {report:?}"),
+    }
+    assert_eq!(dir_contents(dir), before, "refusal changed a file");
+}
+
+#[test]
+fn format_2_manifest_is_refused_not_skipped() {
+    let dir = temp_dir("v2-manifest");
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(&dir)).unwrap();
+    lsm.insert(&[(1, 10)]).unwrap();
+    lsm.flush().unwrap();
+    drop(lsm);
+    // Rewrite the manifest as format 2 framed it: version 2 in the header,
+    // byte-wise FNV-1a in the trailer (same layout, same length).
+    let path = dir.join("MANIFEST-1");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let body = bytes.len() - 8;
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let trailer = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&trailer.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert_format_2_refused(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn format_2_segment_is_refused_not_truncated() {
+    let dir = temp_dir("v2-segment");
+    // One format-2 record: magic "WALR", payload length, FNV-1a of the
+    // payload, then (encoded key, value) pairs.
+    let payload: Vec<u8> = [(5u32, 50u32), (6, 60)]
+        .iter()
+        .flat_map(|&(k, v)| [(k << 1 | 1).to_le_bytes(), v.to_le_bytes()])
+        .flatten()
+        .collect();
+    let mut record = Vec::new();
+    record.extend_from_slice(&0x5741_4C52u32.to_le_bytes());
+    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    record.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    record.extend_from_slice(&payload);
+    std::fs::write(dir.join("wal-0.log"), &record).unwrap();
+    assert_format_2_refused(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Wait until the admission layer reports the applier's death.
 fn await_applier_death(lsm: &AdmittedLsm) -> String {
     let deadline = Instant::now() + Duration::from_secs(30);
