@@ -106,6 +106,7 @@ use crate::lsm::GpuLsm;
 use crate::range::RangeResult;
 use crate::router::ShardRouter;
 use crate::shard::{RebalanceAction, ShardedLsm, ShardedStats};
+use crate::sync::lock_ignore_poison;
 use crate::validate::InvariantViolation;
 use crate::vfs::Vfs;
 use crate::wal::{
@@ -113,14 +114,11 @@ use crate::wal::{
     Wal,
 };
 
-/// Lock, recovering from poisoning: an applier panic must not turn every
-/// later `submit`/`flush`/`drop` into a cascading panic.  The guarded
-/// state stays structurally valid across an unwind (plain queues and
-/// counters), and the applier's death itself is surfaced as a typed error
-/// by the callers' liveness checks.
-fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+// Every lock here is poison-tolerant: an applier panic must not turn every
+// later `submit`/`flush`/`drop` into a cascading panic.  The guarded state
+// stays structurally valid across an unwind (plain queues and counters),
+// and the applier's death itself is surfaced as a typed error by the
+// callers' liveness checks.
 
 /// Condvar wait with the same poison recovery as [`lock_ignore_poison`].
 fn wait_ignore_poison<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {

@@ -9,21 +9,29 @@
 //! key, so equal keys stay newest-first; (5) the first element of each key
 //! run decides: a regular element counts, a tombstone hides the key.
 //!
-//! **What the host runs.**  Stage 1 as it is: queries search each level
-//! together in lockstep lane groups of `LANE_GROUP` ([`Level::lower_bounds`]).
-//! Stages 2–4 only stage data on a host, so in their place each query
-//! merges its level slices in one stable pass, newest level first: on
-//! equal keys the newer side wins, and a level keeps its stored order —
-//! exactly the order the stable segmented sort produces.  Stage 5 then
-//! reads the merged run; a query with one non-empty slice reads the level
-//! in place.  Count reads keys only.  The merges run in parallel over the
-//! same lane groups as the search, each group reusing one scratch.
+//! **What the host runs.**  Stage 1 with one fence descent per (query,
+//! level): queries search each level together in lockstep lane groups of
+//! `LANE_GROUP` for the lower bounds of their `k1`s
+//! ([`Level::lower_bounds`]).  A lane's `k2 + 1` bound lies a few elements
+//! past its `k1` bound on a narrow span, so each lane gallops forward from
+//! its `k1` bound to find it: doubling steps, then a binary search of the
+//! last bracket, all on cache lines near the first bound.  A bound `d`
+//! elements away costs about `2 log2(d)` probes, fewer than a second fence
+//! descent while `d` is small.  Stages 2–4 only stage data on a host, so
+//! in their place each query merges its level slices in one stable pass,
+//! newest level first: on equal keys the newer side wins, and a level
+//! keeps its stored order — exactly the order the stable segmented sort
+//! produces.  Stage 5 then reads the merged run; a query with one
+//! non-empty slice reads the level in place.  Count reads keys only.  The
+//! merges run in parallel over the same lane groups as the search, each
+//! group reusing one scratch.
 //!
 //! **What the device model books.**  The paper's five stages, as if they
-//! ran (`Bounds::record`): the search kernel's launch, its probes and its
-//! gather of every candidate, the scan of the per-(query, level)
-//! estimates and the segmented sort of the candidates.  What the host
-//! skips does not change modelled device time.
+//! ran (`Bounds::record`): the search kernel's launch, its probes (two
+//! fence-narrowed searches per intersecting (query, level), however the
+//! host found the bounds) and its gather of every candidate, the scan of
+//! the per-(query, level) estimates and the segmented sort of the
+//! candidates.  What the host skips does not change modelled device time.
 //!
 //! [`Level::lower_bounds`]: crate::level::Level::lower_bounds
 
@@ -55,7 +63,14 @@ impl<'a> Bounds<'a> {
     /// `lsm`, in lockstep lane groups of `LANE_GROUP` queries in parallel
     /// (see [`group_bounds`]).
     pub(crate) fn search(lsm: &'a GpuLsm, queries: &[(Key, Key)]) -> Self {
-        let levels: Vec<&Level> = lsm.levels().iter_occupied().map(|(_, l)| l).collect();
+        Self::over(
+            lsm.levels().iter_occupied().map(|(_, l)| l).collect(),
+            queries,
+        )
+    }
+
+    /// [`Bounds::search`] over `levels`, newest first.
+    fn over(levels: Vec<&'a Level>, queries: &[(Key, Key)]) -> Self {
         let num_levels = levels.len();
         let mut slices = vec![(0usize, 0usize); queries.len() * num_levels];
         let mut lane_keys: Vec<Key> = vec![0; queries.len()];
@@ -99,6 +114,21 @@ impl<'a> Bounds<'a> {
             .zip(query)
             .filter(|(_, &(lo, hi))| hi > lo)
             .map(|(&level, &(lo, hi))| (level, lo..hi))
+    }
+
+    /// Read the first and the last value of every candidate slice of a
+    /// lane group's queries in one pass before their merges, so that the
+    /// slices' cache misses overlap, as the warp's gather in the paper's
+    /// stage 3 overlaps them, instead of each stalling its own query's
+    /// merge.  A narrow span's slice lies in one or two cache lines; the
+    /// merge streams the middle of a wider one.
+    pub(crate) fn load_values<'q>(&self, group: impl Iterator<Item = &'q [(usize, usize)]>) {
+        let loaded = group
+            .flat_map(|query| self.slices(query))
+            .fold(0, |acc: Value, (level, r)| {
+                acc ^ level.values()[r.start] ^ level.values()[r.end - 1]
+            });
+        std::hint::black_box(loaded);
     }
 
     /// Candidates over all queries: the elements the paper's pipeline
@@ -271,14 +301,20 @@ impl GpuLsm {
     }
 }
 
+/// Bound searches per intersecting (query, level): the lower bounds of
+/// `k1` and of `k2 + 1`.  The device model books both as fence-narrowed
+/// searches, and a sharded call states them to the worker pool as its work.
+pub(crate) const SEARCHES_PER_LEVEL: usize = 2;
+
 /// Stage 1 for one lane group: the candidate bounds of its queries in
 /// every level, written to `bounds[lane * levels.len() + level]` (`(0, 0)`
 /// stays for intervals that miss the level).  Per level, the lanes whose
-/// interval meets it take two lockstep searches ([`Level::lower_bounds`]):
-/// one of their `k1`s finds the first candidate, one of their `k2 + 1`s
-/// the end of the candidates.  `keys` and `found` are the group's share of
-/// the call's scratch.  Returns the scattered probes to charge: two
-/// fence-narrowed searches per (lane, level) that ran.
+/// interval meets it find their `k1` bounds in one lockstep search
+/// ([`Level::lower_bounds`]); each lane then gallops forward from its `k1`
+/// bound to its `k2 + 1` bound ([`gallop`]).  `keys` and `found` are the
+/// group's share of the call's scratch.  Returns the scattered probes to
+/// charge: [`SEARCHES_PER_LEVEL`] fence-narrowed searches per (lane,
+/// level) that ran, however the host found the bounds.
 fn group_bounds(
     levels: &[&Level],
     queries: &[(Key, Key)],
@@ -312,28 +348,40 @@ fn group_bounds(
         if m == 0 {
             continue;
         }
-        probes += 2 * m as u64 * u64::from(level.search_probe_depth());
+        probes += (SEARCHES_PER_LEVEL * m) as u64 * u64::from(level.search_probe_depth());
         level.lower_bounds(&keys[..m], &mut found[..m]);
-        for ((lane, _), &lo) in lanes().zip(found.iter()) {
-            bounds[lane * num_levels + li] = (lo, lo);
-        }
-        for ((_, (_, k2)), key) in lanes().zip(keys.iter_mut()) {
-            *key = k2 + 1;
-        }
-        level.lower_bounds(&keys[..m], &mut found[..m]);
-        for ((lane, _), &hi) in lanes().zip(found.iter()) {
-            let bound = &mut bounds[lane * num_levels + li];
-            debug_assert!(hi >= bound.0, "bounds are monotone in the key");
-            bound.1 = hi;
+        for ((lane, (_, k2)), &lo) in lanes().zip(found.iter()) {
+            bounds[lane * num_levels + li] = (lo, gallop(level.keys(), lo, k2 + 1));
         }
     }
     probes
+}
+
+/// The lower bound of `key` in `keys`, searched forward from `from`, where
+/// every key before `from` is below `key`: probes at `from + 2^j - 1` for
+/// `j = 0, 1, ...` until one reaches `key` or the end, then a binary search
+/// of the last bracket.  A bound `d` elements past `from` costs about
+/// `2 log2(d)` probes, all near `from` while `d` is small.
+fn gallop(keys: &[EncodedKey], from: usize, key: Key) -> usize {
+    // Every key before `lo` is below `key`.
+    let mut lo = from;
+    let mut step = 1;
+    loop {
+        let end = from + step;
+        if end > keys.len() || original_key(keys[end - 1]) >= key {
+            let end = end.min(keys.len());
+            return lo + keys[lo..end].partition_point(|&k| original_key(k) < key);
+        }
+        lo = end;
+        step *= 2;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
+    use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
     use gpu_sim::{Device, DeviceConfig};
 
     use rand::rngs::StdRng;
@@ -342,7 +390,8 @@ mod tests {
 
     use super::Bounds;
     use crate::batch::UpdateBatch;
-    use crate::key::original_key;
+    use crate::key::{encode_regular, encode_tombstone, original_key, MAX_KEY};
+    use crate::level::Level;
     use crate::lsm::GpuLsm;
 
     fn device() -> Arc<Device> {
@@ -391,6 +440,81 @@ mod tests {
             assert_eq!(merged, expected);
             let expected_keys: Vec<u32> = expected.iter().map(|&(k, _)| k).collect();
             assert_eq!(bounds.merged_keys(query, &mut key_bufs), expected_keys);
+        }
+    }
+
+    #[test]
+    fn k2_bounds_gallop_from_k1_bounds() {
+        // Two levels searched in one call: runs of one to three copies of
+        // each key (tombstone and regular copies, newest first) spaced 3
+        // apart, and single copies spaced 5 apart; both end with the
+        // `MAX_KEY` placebo and span several fence intervals (256 keys).
+        let mut runs = Vec::new();
+        for i in 0..700u32 {
+            let key = 1000 + 3 * i;
+            for copy in 0..=(i % 3) {
+                runs.push(if (i + copy) % 4 == 0 {
+                    encode_tombstone(key)
+                } else {
+                    encode_regular(key)
+                });
+            }
+        }
+        let singles: Vec<u32> = (0..1100u32).map(|i| encode_regular(1001 + 5 * i)).collect();
+        let levels: Vec<Level> = [runs, singles]
+            .into_iter()
+            .map(|mut keys| {
+                keys.push(encode_tombstone(MAX_KEY));
+                let values = vec![0; keys.len()];
+                Level::from_sorted(keys, values, DEFAULT_BITS_PER_KEY)
+            })
+            .collect();
+        assert!(levels.iter().all(|l| l.len() > 1 << 10));
+        // Per `k1` (every key of the first level, and the gap after it),
+        // spans whose `k2 + 1` falls 0, 1, 2, 2^j - 1, 2^j and 2^j + 1
+        // elements past the `k1` bound, on both sides of each doubling
+        // step of the gallop, then past the level's end.
+        let distances: Vec<usize> = [0, 1, 2]
+            .into_iter()
+            .chain((2..=10).flat_map(|j| [(1 << j) - 1, 1 << j, (1 << j) + 1]))
+            .collect();
+        let first = &levels[0];
+        let mut k1s: Vec<u32> = first
+            .keys()
+            .iter()
+            .flat_map(|&k| [original_key(k), original_key(k) + 1])
+            .collect();
+        k1s.sort_unstable();
+        k1s.dedup();
+        let mut queries = Vec::new();
+        for k1 in k1s {
+            let lo = first.lower_bound(k1);
+            for &d in &distances {
+                let k2 = match first.keys().get(lo + d) {
+                    Some(&at) => original_key(at),
+                    None => MAX_KEY,
+                };
+                queries.extend([(k1, k2.saturating_sub(1)), (k1, k2)]);
+            }
+            queries.extend([(k1, MAX_KEY - 1), (k1, u32::MAX)]);
+        }
+        let bounds = Bounds::over(levels.iter().collect(), &queries);
+        for (q, &(k1, k2)) in queries.iter().enumerate() {
+            for (l, level) in levels.iter().enumerate() {
+                let k2 = k2.min(MAX_KEY);
+                let expected = if k1 <= k2 && level.interval_intersects(k1, k2) {
+                    (level.lower_bound(k1), level.lower_bound(k2 + 1))
+                } else {
+                    (0, 0)
+                };
+                let got = bounds.slices[q * levels.len() + l];
+                assert_eq!(got, expected, "[{k1}, {k2}] in level {l}");
+            }
+        }
+        // Gallops of more than 2^10 elements ran in both levels.
+        for l in 0..levels.len() {
+            let mut spans = bounds.slices.iter().skip(l).step_by(levels.len());
+            assert!(spans.any(|&(lo, hi)| hi - lo > 1 << 10));
         }
     }
 

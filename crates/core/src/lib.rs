@@ -66,6 +66,7 @@ pub mod range;
 pub mod router;
 pub mod shard;
 pub mod stats;
+mod sync;
 pub mod validate;
 pub mod vfs;
 pub mod wal;

@@ -8,9 +8,12 @@
 //! per-query offsets followed by each query's valid elements sorted by
 //! key.
 //!
-//! **What the host runs.**  The search of [`crate::count`], then, per
-//! query, the same newest-first stable merge with each value moving along
-//! with its key; each valid first element of a key run is appended to the
+//! **What the host runs.**  The search of [`crate::count`], then, per lane
+//! group: first one pass that reads the first and the last value of every
+//! level slice of the group's queries, so that their cache misses overlap
+//! the way a warp's gather of stage 3 overlaps them; then, per query, the
+//! same newest-first stable merge as count, with each value moving along
+//! with its key.  Each valid first element of a key run is appended to the
 //! result as it is found, so a lane group writes its pairs once, already
 //! in the output layout.  With more than one group the groups' results
 //! are concatenated in query order.
@@ -95,6 +98,7 @@ impl GpuLsm {
                         values: Vec::with_capacity(candidates),
                     };
                     out.offsets.push(0);
+                    bounds.load_values(group.clone());
                     let mut bufs = Default::default();
                     for query in group {
                         let (keys, values) = bounds.merged_pairs(query, &mut bufs);

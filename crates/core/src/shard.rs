@@ -19,16 +19,21 @@
 //!
 //! ## When shards run concurrently
 //!
-//! Every fan-out (update, lookup, count, range and stats) tells the worker
-//! pool the call's real work, and the pool's sequential cutoff alone
+//! Every fan-out (update, lookup, count, range and stats) states the
+//! call's work to the worker pool, and the pool's sequential cutoff alone
 //! decides.  At or above it the touched shards run at the same time,
 //! split into contiguous runs, one per core, so a shard tends to stay on
 //! one core from call to call; below it they run one after another on the
 //! caller's thread.  Each task takes its one shard lock itself.  The work
-//! is counted in what the shards will run:
+//! is a property of the call:
 //!
-//! * a query call: per touched shard, sub-queries × occupied levels, the
-//!   (query, level) lane passes of the level search;
+//! * a query call: per touched shard, the level searches the device model
+//!   books for its sub-queries: one per (key, level) for a lookup, two per
+//!   (span, level) for count and range (the lower bounds of `k1` and of
+//!   `k2 + 1`).  The host runs one fence descent per (span, level) and
+//!   gallops to the second bound (see [`crate::count`]), then merges the
+//!   span's candidates, so for count and range this is the paper's work,
+//!   not a measure of the host's;
 //! * an update: `b` per touched shard, since each sub-batch is padded to
 //!   `b`;
 //! * stats: the resident elements.
@@ -41,7 +46,7 @@
 //! A call of a few hundred keys or a few dozen spans stays on the
 //! caller's thread and leaves the pool to the writer's carry merges.
 //! A 4096-key call uses every core,
-//! and so does a 1024-span call once its shards hold four or more
+//! and so does a 1024-span call once its shards hold two or more
 //! occupied levels.  Bulk build and cleanup run shard by shard (see
 //! [`ShardedLsm::bulk_build`] and [`ShardedLsm::cleanup`]).
 //!
@@ -91,6 +96,7 @@ use crate::batch::UpdateBatch;
 use crate::cleanup::CleanupReport;
 use crate::concurrent::ConcurrentGpuLsm;
 use crate::config::LsmConfig;
+use crate::count::SEARCHES_PER_LEVEL;
 use crate::error::{LsmError, Result};
 use crate::key::{is_tombstone, original_key, Key, Value, MAX_KEY};
 use crate::lsm::GpuLsm;
@@ -851,7 +857,7 @@ impl ShardedLsm {
     /// Bulk point lookups: routed to the owning shards, executed per shard
     /// through [`GpuLsm::lookup`] (each shard searches its sub-batch in the
     /// callers' order), reassembled in input order.  The shards run at the
-    /// same time when the call's (key, level) lane passes reach the pool's
+    /// same time when the call's (key, level) searches reach the pool's
     /// cutoff (see the module docs).
     pub fn lookup(&self, queries: &[Key]) -> Vec<Option<Value>> {
         self.lookup_with(queries, ConcurrentGpuLsm::lookup)
@@ -882,7 +888,7 @@ impl ShardedLsm {
             .collect();
         let shard_answers = fan_out(
             &routed,
-            |(s, (keys, _))| lane_passes(&table.shards[*s], keys.len()),
+            |(s, (keys, _))| level_searches(&table.shards[*s], keys.len(), 1),
             |(s, (keys, positions))| (positions.as_slice(), resolve(&table.shards[*s], keys)),
         );
         let mut out = vec![None; queries.len()];
@@ -1138,14 +1144,17 @@ fn fan_out<T: Sync, R: Send>(
     items.par_iter().with_work(work).map(task).collect()
 }
 
-/// The (query, level) lane passes of `queries` sub-queries on `shard`:
-/// one per query and occupied level (the popcount of its batch counter).
-fn lane_passes(shard: &ConcurrentGpuLsm, queries: usize) -> usize {
-    queries * shard.num_batches().count_ones() as usize
+/// The level searches the device model books for `queries` sub-queries on
+/// `shard`: `searches` per query and occupied level (the popcount of its
+/// batch counter).
+fn level_searches(shard: &ConcurrentGpuLsm, queries: usize, searches: usize) -> usize {
+    queries * searches * shard.num_batches().count_ones() as usize
 }
 
 /// Shared fan-out of the interval queries: route `queries` to per-shard
-/// sub-queries and answer each touched shard's list with `resolve`.
+/// sub-queries and answer each touched shard's list with `resolve`, stating
+/// the device model's two bound searches per (sub-query, level) as the
+/// call's work.
 /// Returns the sub-queries as [`ShardRouter::split_intervals`] emits them
 /// (query-major, shard-ascending) and one answer per shard, in shard
 /// order (`R::default()` for a shard no query touched).
@@ -1166,7 +1175,7 @@ fn intervals_with<R: Default + Send>(
         .collect();
     let answers = fan_out(
         &routed,
-        |(s, qs)| lane_passes(&table.shards[*s], qs.len()),
+        |(s, qs)| level_searches(&table.shards[*s], qs.len(), SEARCHES_PER_LEVEL),
         |(s, qs)| resolve(&table.shards[*s], qs),
     );
     let mut by_shard: Vec<R> = std::iter::repeat_with(R::default)
@@ -1330,6 +1339,32 @@ mod tests {
             vec![Some(3), None, Some(4)]
         );
         lsm.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn span_calls_reach_the_pool_cutoff_from_two_occupied_levels() {
+        // The pool's sequential cutoff when `LSM_PAR_CUTOFF` is unset.
+        const CUTOFF: usize = 4096;
+        let shard = ConcurrentGpuLsm::create(device(), 1).unwrap();
+        let mut stated = Vec::new();
+        for key in 0..3 {
+            shard.insert(&[(key, key)]).unwrap();
+            stated.push((
+                shard.num_batches().count_ones(),
+                level_searches(&shard, 4096, 1),
+                level_searches(&shard, 1024, SEARCHES_PER_LEVEL),
+            ));
+        }
+        // A 4096-key lookup reaches the cutoff at one occupied level, a
+        // 1024-span count or range at two.
+        assert_eq!(
+            stated,
+            [
+                (1, CUTOFF, CUTOFF / 2),
+                (1, CUTOFF, CUTOFF / 2),
+                (2, 2 * CUTOFF, CUTOFF)
+            ]
+        );
     }
 
     #[test]

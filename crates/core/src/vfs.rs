@@ -17,11 +17,19 @@
 //! ones (per [`crate::wal::DegradeMode`]), and that a degraded pipeline's
 //! durable prefix still recovers exactly.
 
+// IO errors reach this module from the filesystem: none of it may panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+use crate::sync::lock_ignore_poison;
 
 /// An open, writable file handle produced by [`Vfs::open_write`].
 pub trait VfsFile: Send + Debug {
@@ -311,6 +319,9 @@ impl FaultState {
 #[derive(Debug, Clone)]
 pub struct FaultVfs {
     inner: Arc<dyn Vfs>,
+    /// Counters, the script and the seeded generator's state: every field
+    /// holds a valid value after each store, so a lock recovered from
+    /// poisoning (`lock_ignore_poison`) still reads a consistent state.
     state: Arc<Mutex<FaultState>>,
 }
 
@@ -345,16 +356,16 @@ impl FaultVfs {
 
     /// Total faults injected so far.
     pub fn injected_faults(&self) -> u64 {
-        self.state.lock().unwrap().injected
+        lock_ignore_poison(&self.state).injected
     }
 
     /// Operations of class `op` observed so far (including faulted ones).
     pub fn op_count(&self, op: FaultOp) -> u64 {
-        self.state.lock().unwrap().counts[op.index()]
+        lock_ignore_poison(&self.state).counts[op.index()]
     }
 
     fn gate(&self, op: FaultOp) -> io::Result<()> {
-        match self.state.lock().unwrap().decide(op) {
+        match lock_ignore_poison(&self.state).decide(op) {
             Decision::Pass => Ok(()),
             Decision::Fail(e) => Err(e),
             // Short writes only make sense against a buffer; path-level
@@ -372,7 +383,7 @@ struct FaultFile {
 
 impl FaultFile {
     fn gate(&self, op: FaultOp) -> io::Result<()> {
-        match self.state.lock().unwrap().decide(op) {
+        match lock_ignore_poison(&self.state).decide(op) {
             Decision::Pass => Ok(()),
             Decision::Fail(e) | Decision::Short(_, e) => Err(e),
         }
@@ -381,7 +392,7 @@ impl FaultFile {
 
 impl VfsFile for FaultFile {
     fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
-        match self.state.lock().unwrap().decide(FaultOp::Append) {
+        match lock_ignore_poison(&self.state).decide(FaultOp::Append) {
             Decision::Pass => self.inner.write_all(bytes),
             Decision::Fail(e) => Err(e),
             Decision::Short(n, e) => {
@@ -416,7 +427,7 @@ impl Vfs for FaultVfs {
         self.inner.read(path)
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.state.lock().unwrap().decide(FaultOp::Write) {
+        match lock_ignore_poison(&self.state).decide(FaultOp::Write) {
             Decision::Pass => self.inner.write(path, bytes),
             Decision::Fail(e) => Err(e),
             Decision::Short(n, e) => {

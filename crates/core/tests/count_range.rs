@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use gpu_lsm::key::original_key;
 use gpu_lsm::{GpuLsm, Op, UpdateBatch, MAX_KEY};
 use gpu_sim::{Device, DeviceConfig};
 use rand::rngs::StdRng;
@@ -140,6 +141,34 @@ fn random_spans(rng: &mut StdRng, keys: &[u32], n: usize) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// Spans whose `k2 + 1` lands 250 to 262 elements past their `k1` bound
+/// in one of `lsm`'s levels (to the nearest end of a key's run of
+/// copies): widths on both sides of one fence interval (256 elements),
+/// which is also a doubling step of the gallop from the `k1` bound to the
+/// `k2 + 1` bound.
+fn fence_straddling_spans(rng: &mut StdRng, lsm: &GpuLsm, n: usize) -> Vec<(u32, u32)> {
+    let levels: Vec<_> = lsm
+        .levels()
+        .iter_occupied()
+        .map(|(_, level)| level)
+        .filter(|level| level.len() > 262)
+        .collect();
+    if levels.is_empty() {
+        return Vec::new();
+    }
+    (0..n)
+        .map(|_| {
+            let level = levels[rng.gen_range(0..levels.len())];
+            let keys = level.keys();
+            let k1 = original_key(keys[rng.gen_range(0..keys.len())]);
+            let end = (level.lower_bound(k1) + rng.gen_range(250..=262)).min(keys.len() - 1);
+            // Half end with that element's key, half just before it.
+            let k2 = original_key(keys[end]).saturating_sub(u32::from(rng.gen_bool(0.5)));
+            (k1, k2)
+        })
+        .collect()
+}
+
 #[test]
 fn deep_carry_built_stores_match_the_model() {
     let keys = domain();
@@ -173,6 +202,8 @@ fn deep_carry_built_stores_match_the_model() {
             let mut queries = fixed_spans();
             let n = if batch % 8 == 0 { 96 } else { 16 };
             queries.extend(random_spans(&mut rng, &keys, n));
+            let mut span_rng = StdRng::seed_from_u64(batch);
+            queries.extend(fence_straddling_spans(&mut span_rng, &lsm, 16));
             check(&lsm, &model, &queries, &format!("b={b} batch {batch}"));
         }
         lsm.check_invariants().unwrap();
