@@ -135,9 +135,9 @@ impl UpdateBatch {
     ) -> Result<()> {
         keys.clear();
         values.clear();
-        if self.ops.is_empty() {
+        let Some(last) = self.ops.last() else {
             return Err(LsmError::EmptyBatch);
-        }
+        };
         if self.ops.len() > batch_size {
             return Err(LsmError::BatchTooLarge {
                 supplied: self.ops.len(),
@@ -159,7 +159,7 @@ impl UpdateBatch {
         // regular element are stale copies behind the visible one; duplicates
         // of a tombstone are redundant tombstones.  Either way queries are
         // unaffected.
-        let (last_k, last_v) = (*keys.last().unwrap(), *values.last().unwrap());
+        let (last_k, last_v) = last.encode();
         keys.resize(batch_size, last_k);
         values.resize(batch_size, last_v);
         Ok(())
@@ -179,9 +179,9 @@ impl UpdateBatch {
         pairs: &[(Key, Value)],
         batch_size: usize,
     ) -> Result<(Vec<EncodedKey>, Vec<Value>, bool)> {
-        if pairs.is_empty() {
+        let Some(&(last_key, last_value)) = pairs.last() else {
             return Err(LsmError::EmptyBatch);
-        }
+        };
         if pairs.len() > batch_size {
             return Err(LsmError::BatchTooLarge {
                 supplied: pairs.len(),
@@ -204,9 +204,8 @@ impl UpdateBatch {
         }
         // Padding duplicates the last element, which keeps a sorted batch
         // sorted.
-        let (last_k, last_v) = (*keys.last().unwrap(), *values.last().unwrap());
-        keys.resize(batch_size, last_k);
-        values.resize(batch_size, last_v);
+        keys.resize(batch_size, encode_regular(last_key));
+        values.resize(batch_size, last_value);
         Ok((keys, values, sorted))
     }
 }
@@ -244,6 +243,13 @@ mod tests {
         assert_eq!(original_key(keys[2]), 6);
         assert_eq!(original_key(keys[3]), 6);
         assert_eq!(values[3], 60);
+        // The smallest batch the emptiness check lets through: its one
+        // element is also the padding, on both encode paths.
+        let (keys, _) = UpdateBatch::from_deletions(&[7]).encode_padded(3).unwrap();
+        assert_eq!(keys, vec![Op::Delete(7).encode().0; 3]);
+        let (keys, values, _) = UpdateBatch::encode_pairs_padded(&[(7, 70)], 3).unwrap();
+        assert_eq!(keys, vec![encode_regular(7); 3]);
+        assert_eq!(values, vec![70; 3]);
     }
 
     #[test]
@@ -271,6 +277,10 @@ mod tests {
     fn empty_batch_rejected() {
         assert_eq!(
             UpdateBatch::new().encode_padded(4),
+            Err(LsmError::EmptyBatch)
+        );
+        assert_eq!(
+            UpdateBatch::encode_pairs_padded(&[], 4),
             Err(LsmError::EmptyBatch)
         );
     }

@@ -34,12 +34,10 @@
 
 use gpu_primitives::fence::{FenceArray, DEFAULT_FENCE_INTERVAL};
 use gpu_primitives::filter::BloomFilter;
-use gpu_primitives::merge::{merge_pairs_by, merge_pairs_by_into};
+use gpu_primitives::merge::merge_pairs_by;
 use gpu_primitives::search::upper_bound_by;
 use gpu_sim::AccessPattern;
 
-use crate::alloc_scope::MergeScopeGuard;
-use crate::arena::Storage;
 use crate::key::{key_less, original_key, EncodedKey, Value};
 use crate::level::{carry_filter_min_len, Level, LevelSet, FILTER_MIN_LEN};
 use crate::lsm::GpuLsm;
@@ -133,18 +131,15 @@ impl GpuLsm {
     /// participating level in order, maintaining fences across every step
     /// and the filter across the final one, then assemble the output level.
     ///
-    /// With the slab arena enabled, every step merges **into a pre-reserved
-    /// arena region** instead of a fresh vector: the consumed level's
-    /// region and the previous intermediate's region return to the arena
-    /// free list as the chain climbs, so after one warm-up cascade per
-    /// level the merge inner loop performs no heap allocation at all (the
-    /// double-buffering of §III-A; asserted by the counting-allocator
-    /// test via [`crate::alloc_scope`]).
+    /// Every step merges into fresh vectors.  The consumed level's arrays
+    /// and the previous step's output drop as the chain climbs, and the
+    /// first step hands the batch-encode buffers back to
+    /// [`GpuLsm::update`]'s scratch, so the next batch encodes into them.
     fn execute_plan(
         &mut self,
         plan: &CompactionPlan,
-        keys: Vec<EncodedKey>,
-        values: Vec<Value>,
+        mut keys: Vec<EncodedKey>,
+        mut values: Vec<Value>,
     ) -> Level {
         // The buffer's fences: one cheap sampling pass over the sorted
         // batch, merged (not rebuilt) at every subsequent step.
@@ -152,11 +147,13 @@ impl GpuLsm {
             original_key(keys[i])
         });
         let mut filter: Option<BloomFilter> = None;
-        let mut keys: Storage = keys.into();
-        let mut values: Storage = values.into();
 
         let steps = plan.merge_steps();
         for (step, &i) in plan.participating.iter().enumerate() {
+            // The plan lists exactly the full levels below the first empty
+            // one, and `&mut self` keeps them in place since it was made
+            // (`tests::planner_follows_binary_counter`).
+            #[allow(clippy::expect_used)]
             let level = self.levels.take(i).expect("planned level is occupied");
             self.merge_activity.record_carry_step();
 
@@ -173,55 +170,20 @@ impl GpuLsm {
             // Merge comparing original keys only (status bit ignored), with
             // the more recent buffer as the first argument so it wins ties
             // and the §III-D ordering invariants hold.
-            match &self.arena {
-                Some(arena) => {
-                    let out_len = keys.len() + level.len();
-                    let (out_keys, out_values) =
-                        self.device().timer().time("insert::merge", || {
-                            let _scope = MergeScopeGuard::enter();
-                            let mut out_keys = arena.reserve(out_len);
-                            let mut out_values = arena.reserve(out_len);
-                            merge_pairs_by_into(
-                                self.device(),
-                                &keys,
-                                &values,
-                                level.keys(),
-                                level.values(),
-                                out_keys.as_mut_slice(),
-                                out_values.as_mut_slice(),
-                                key_less,
-                            );
-                            (out_keys, out_values)
-                        });
-                    // Recycle the consumed level's region before the old
-                    // intermediate's: the replaced `keys`/`values` drop
-                    // right after.
-                    drop(level);
-                    let old_keys = std::mem::replace(&mut keys, out_keys.into());
-                    let old_values = std::mem::replace(&mut values, out_values.into());
-                    if step == 0 {
-                        self.reclaim_encode_scratch(old_keys, old_values);
-                    }
-                }
-                None => {
-                    let (level_keys, level_values) = level.into_parts();
-                    let (merged_keys, merged_values) =
-                        self.device().timer().time("insert::merge", || {
-                            merge_pairs_by(
-                                self.device(),
-                                &keys,
-                                &values,
-                                &level_keys,
-                                &level_values,
-                                key_less,
-                            )
-                        });
-                    let old_keys = std::mem::replace(&mut keys, merged_keys.into());
-                    let old_values = std::mem::replace(&mut values, merged_values.into());
-                    if step == 0 {
-                        self.reclaim_encode_scratch(old_keys, old_values);
-                    }
-                }
+            let (merged_keys, merged_values) = self.device().timer().time("insert::merge", || {
+                merge_pairs_by(
+                    self.device(),
+                    &keys,
+                    &values,
+                    level.keys(),
+                    level.values(),
+                    key_less,
+                )
+            });
+            let buffer_keys = std::mem::replace(&mut keys, merged_keys);
+            let buffer_values = std::mem::replace(&mut values, merged_values);
+            if step == 0 {
+                self.encode_scratch = (buffer_keys, buffer_values);
             }
 
             // Accept the merged fences unless repeated merging widened the
@@ -255,15 +217,6 @@ impl GpuLsm {
         }
 
         Level::from_sorted_with_aux(keys, values, filter, fences)
-    }
-
-    /// Hand the batch-encode buffers the first merge step just consumed
-    /// back to [`GpuLsm::update`]'s scratch, so the next encode reuses the
-    /// allocation (arena-backed intermediates fall through untouched).
-    fn reclaim_encode_scratch(&mut self, keys: Storage, values: Storage) {
-        if let (Storage::Owned(k), Storage::Owned(v)) = (keys, values) {
-            self.encode_scratch = (k, v);
-        }
     }
 
     /// Merge the buffer's fences with a consumed level's, translating both
@@ -374,6 +327,9 @@ mod tests {
         Arc::new(Device::new(DeviceConfig::small()))
     }
 
+    /// Also pins what the executor's unchecked `take` relies on: every
+    /// planned level is full when the plan runs, up to and across the
+    /// carry that empties five levels (r = 31 to 32).
     #[test]
     fn planner_follows_binary_counter() {
         let mut lsm = GpuLsm::new(device(), 4).unwrap();
@@ -385,7 +341,7 @@ mod tests {
         assert_eq!(plan.output_len, 4);
         assert!(plan.transient);
 
-        for b in 0..7u32 {
+        for b in 0..33u32 {
             let pairs: Vec<(u32, u32)> = (0..4).map(|i| (b * 8 + i, i)).collect();
             let plan = lsm.plan_next_insert();
             // The cascade consumes the trailing set bits of r.
@@ -398,8 +354,11 @@ mod tests {
                 plan.merged_elements(4),
                 (0..expected_target).map(|i| 2 * (4 << i)).sum::<usize>()
             );
+            assert!(plan.participating.iter().all(|&i| lsm.levels.is_full(i)));
             lsm.insert(&pairs).unwrap();
-            // The executor placed the output exactly where planned.
+            // The executor consumed the planned levels and placed the
+            // output exactly where planned.
+            assert!(plan.participating.iter().all(|&i| !lsm.levels.is_full(i)));
             assert!(lsm.levels.is_full(plan.target_level));
         }
     }

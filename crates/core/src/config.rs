@@ -91,9 +91,6 @@ pub struct LsmConfig {
     /// every structure in the process.  `None` leaves the pool's own
     /// choice, `LSM_PAR_CUTOFF` or else 4096, which the pool reads itself.
     pub par_cutoff: Option<usize>,
-    /// Whether level storage lives in the per-structure slab arena
-    /// (`LSM_ARENA`; 0 disables).  Per instance; default on.
-    pub arena: Option<bool>,
     /// Admission queue capacity per shard (`LSM_ADMIT_QUEUE`); default
     /// [`crate::admission::DEFAULT_QUEUE_CAPACITY`].
     pub admit_queue_capacity: Option<usize>,
@@ -134,7 +131,6 @@ impl LsmConfig {
     /// | field | variable |
     /// |---|---|
     /// | `bloom_bits` | `LSM_BLOOM_BITS` (bits per key, ≤ 64) |
-    /// | `arena` | `LSM_ARENA` (0 = off) |
     /// | `admit_queue_capacity` | `LSM_ADMIT_QUEUE` (must be ≥ 1) |
     /// | `admit_coalesce` | `LSM_ADMIT_COALESCE` (0 = off) |
     /// | `submit_timeout` | `LSM_SUBMIT_TIMEOUT_MS` (ms, ≥ 1) |
@@ -291,7 +287,6 @@ impl LsmConfig {
         Ok(LsmConfig {
             bloom_bits,
             par_cutoff: None,
-            arena: parse::<u32>("LSM_ARENA", lookup("LSM_ARENA")?)?.map(|v| v != 0),
             admit_queue_capacity,
             admit_coalesce: parse::<u32>("LSM_ADMIT_COALESCE", lookup("LSM_ADMIT_COALESCE")?)?
                 .map(|v| v != 0),
@@ -311,12 +306,6 @@ impl LsmConfig {
     /// Set the worker-pool sequential cutoff (process-wide).
     pub fn par_cutoff(mut self, cutoff: usize) -> Self {
         self.par_cutoff = Some(cutoff);
-        self
-    }
-
-    /// Enable or disable slab-arena level storage for this instance.
-    pub fn arena(mut self, enabled: bool) -> Self {
-        self.arena = Some(enabled);
         self
     }
 
@@ -382,7 +371,6 @@ impl LsmConfig {
     fn with_fallback(&self, fallback: LsmConfig) -> LsmConfig {
         LsmConfig {
             bloom_bits: self.bloom_bits.or(fallback.bloom_bits),
-            arena: self.arena.or(fallback.arena),
             admit_queue_capacity: self.admit_queue_capacity.or(fallback.admit_queue_capacity),
             admit_coalesce: self.admit_coalesce.or(fallback.admit_coalesce),
             submit_timeout: self.submit_timeout.or(fallback.submit_timeout),
@@ -433,7 +421,6 @@ mod tests {
         let c = LsmConfig::default()
             .bloom_bits(8)
             .par_cutoff(1)
-            .arena(true)
             .admit_queue_capacity(0) // clamped to 1
             .admit_coalesce(false)
             .rebalance(RebalanceConfig {
@@ -443,7 +430,6 @@ mod tests {
             });
         assert_eq!(c.bloom_bits, Some(8));
         assert_eq!(c.par_cutoff, Some(1));
-        assert_eq!(c.arena, Some(true));
         assert_eq!(c.admit_queue_capacity, Some(1));
         assert_eq!(c.admit_coalesce, Some(false));
         assert!(c.rebalance.enabled);
@@ -469,7 +455,6 @@ mod tests {
         let c = LsmConfig::from_env_lookup(env_of(&[
             ("LSM_BLOOM_BITS", "8"),
             ("LSM_PAR_CUTOFF", " 64 "),
-            ("LSM_ARENA", "0"),
             ("LSM_ADMIT_QUEUE", "32"),
             ("LSM_ADMIT_COALESCE", "0"),
             ("LSM_SUBMIT_TIMEOUT_MS", "250"),
@@ -483,7 +468,6 @@ mod tests {
         assert_eq!(c.bloom_bits, Some(8));
         // The worker pool reads LSM_PAR_CUTOFF itself; the config does not.
         assert_eq!(c.par_cutoff, None);
-        assert_eq!(c.arena, Some(false));
         assert_eq!(c.admit_queue_capacity, Some(32));
         assert_eq!(c.admit_coalesce, Some(false));
         assert_eq!(c.submit_timeout, Some(Duration::from_millis(250)));
@@ -531,7 +515,6 @@ mod tests {
         }
         for (var, bad) in [
             ("LSM_BLOOM_BITS", "eight"),
-            ("LSM_ARENA", "yes"),
             ("LSM_ADMIT_COALESCE", "off"),
             ("LSM_SUBMIT_TIMEOUT_MS", "fast"),
             ("LSM_FLUSH_TIMEOUT_MS", "1.5"),
@@ -601,7 +584,6 @@ mod tests {
         assert_eq!(resolved.admit_queue_capacity, Some(32));
         assert_eq!(resolved.admit_coalesce, Some(false));
         // Unset in both layers: left to the constant default.
-        assert_eq!(resolved.arena, None);
         assert_eq!(resolved.submit_timeout, None);
         // Explicit-only fields pass through: the environment's WAL
         // directory only reaches a config through from_env itself.

@@ -212,9 +212,8 @@ impl LatencyHistogram {
     }
 }
 
-/// A compact, `Eq`-comparable percentile summary in microseconds, embedded
-/// in the service statistics structs (see
-/// [`crate::ShardedStats::admission_queue_wait`]).
+/// A compact, `Eq`-comparable percentile summary in microseconds (see
+/// [`crate::AdmissionLatencyStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySnapshot {
     /// Recorded samples.

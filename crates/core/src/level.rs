@@ -44,7 +44,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use gpu_primitives::fence::FenceArray;
 use gpu_primitives::filter::BloomFilter;
 
-use crate::arena::{RegionSpan, Storage};
 use crate::key::{key_less, original_key, EncodedKey, Key, Value};
 
 /// Minimum level length for a Bloom filter on long-lived (bulk-rebuilt)
@@ -99,21 +98,15 @@ pub struct LevelProbe {
 /// share an id, whichever structure or service built them.
 static NEXT_LEVEL_ID: AtomicU64 = AtomicU64::new(1);
 
-/// One occupied level of the LSM.
-///
-/// Key and value arrays live in `Storage` (see `crate::arena`): a plain vector
-/// for long-lived bulk-built levels (and arena-off operation), or a
-/// reserved slab-arena region for carry-chain outputs.  Cloning a level
-/// deep-copies arena-backed storage to owned vectors, so clones never alias
-/// the arena.
+/// One occupied level of the LSM: it owns its key and value arrays.
 #[derive(Debug, Clone)]
 pub struct Level {
     /// Drawn from [`NEXT_LEVEL_ID`] by every constructor and kept by
     /// clones.  A level has no mutators, so two levels with equal ids hold
     /// equal bytes; snapshots use that to carry unchanged runs over.
     id: u64,
-    keys: Storage,
-    values: Storage,
+    keys: Vec<EncodedKey>,
+    values: Vec<Value>,
     filter: Option<BloomFilter>,
     fences: Option<FenceArray>,
 }
@@ -125,8 +118,7 @@ pub struct Level {
 /// are equal.
 impl PartialEq for Level {
     fn eq(&self, other: &Self) -> bool {
-        self.keys.as_slice() == other.keys.as_slice()
-            && self.values.as_slice() == other.values.as_slice()
+        self.keys == other.keys && self.values == other.values
     }
 }
 
@@ -162,13 +154,11 @@ impl Level {
     /// keys: the fences' min/max and window invariants and the filter's
     /// no-false-negative property are what queries rely on.
     pub(crate) fn from_sorted_with_aux(
-        keys: impl Into<Storage>,
-        values: impl Into<Storage>,
+        keys: Vec<EncodedKey>,
+        values: Vec<Value>,
         filter: Option<BloomFilter>,
         fences: Option<FenceArray>,
     ) -> Self {
-        let keys = keys.into();
-        let values = values.into();
         debug_assert_eq!(keys.len(), values.len());
         debug_assert!(
             keys.windows(2).all(|w| !key_less(&w[1], &w[0])),
@@ -391,28 +381,17 @@ impl Level {
 
     /// The encoded keys, sorted by original key.
     pub fn keys(&self) -> &[EncodedKey] {
-        self.keys.as_slice()
+        &self.keys
     }
 
     /// The values, parallel to [`Level::keys`].
     pub fn values(&self) -> &[Value] {
-        self.values.as_slice()
+        &self.values
     }
 
-    /// Consume the level, returning its key and value arrays (copies when
-    /// arena-backed; only cold paths — cleanup, snapshots — consume levels
-    /// this way, the carry chain borrows and merges into arena regions).
+    /// Consume the level, returning its key and value arrays.
     pub fn into_parts(self) -> (Vec<EncodedKey>, Vec<Value>) {
-        (self.keys.into_vec(), self.values.into_vec())
-    }
-
-    /// The arena spans backing this level's arrays (empty when Vec-backed)
-    /// — the `validate` overlap/aliasing invariant reads these.
-    pub(crate) fn arena_spans(&self) -> impl Iterator<Item = RegionSpan> + '_ {
-        self.keys
-            .arena_span()
-            .into_iter()
-            .chain(self.values.arena_span())
+        (self.keys, self.values)
     }
 
     /// Memory footprint of the level in bytes (keys + values).

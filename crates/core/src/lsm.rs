@@ -23,7 +23,6 @@ use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_primitives::radix_sort::sort_pairs;
 use gpu_sim::Device;
 
-use crate::arena::{Arena, DEFAULT_CHUNK_WORDS};
 use crate::batch::UpdateBatch;
 use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
@@ -47,10 +46,6 @@ pub struct GpuLsm {
     /// Lifetime update/lookup operation counters (shared across clones);
     /// feeds the sharded service's hot-shard detection.
     pub(crate) op_activity: Arc<crate::stats::OpActivity>,
-    /// The slab arena backing carry-chain level storage (`None` = arena
-    /// disabled, levels own plain vectors).  Shared across clones of the
-    /// handle; cloned levels deep-copy out of the arena.
-    pub(crate) arena: Option<Arc<Arena>>,
     /// Bloom filter bits per key of every level this structure builds
     /// (0 = no filters), fixed at construction.
     pub(crate) bloom_bits: u32,
@@ -102,10 +97,6 @@ impl GpuLsm {
             filter_activity: Arc::default(),
             merge_activity: Arc::default(),
             op_activity: Arc::default(),
-            arena: config
-                .arena
-                .unwrap_or(true)
-                .then(|| Arena::new(DEFAULT_CHUNK_WORDS)),
             bloom_bits: config.bloom_bits.unwrap_or(DEFAULT_BITS_PER_KEY),
             encode_scratch: (Vec::new(), Vec::new()),
         })

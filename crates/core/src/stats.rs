@@ -190,10 +190,6 @@ pub struct LsmStats {
     pub update_ops: u64,
     /// Lifetime count of point lookups served.
     pub lookup_ops: u64,
-    /// Slab-arena occupancy (all-zero when the arena is disabled): bytes
-    /// resident in live regions, the high-water mark, and how many
-    /// reservations were served by recycling a freed region.
-    pub arena: crate::arena::ArenaStats,
 }
 
 impl LsmStats {
@@ -242,7 +238,6 @@ impl GpuLsm {
             merges: self.merge_activity.snapshot(),
             update_ops,
             lookup_ops,
-            arena: self.arena.as_ref().map(|a| a.stats()).unwrap_or_default(),
         }
     }
 

@@ -93,45 +93,6 @@ impl GpuLsm {
             }
         }
 
-        self.check_arena_invariants()
-    }
-
-    /// Check the slab-arena aliasing invariants (a no-op with the arena
-    /// disabled): no two live levels' reserved regions overlap, and no live
-    /// region aliases a span currently sitting on the arena's free lists —
-    /// either would mean a recycled buffer was handed out while a level
-    /// still reads through it.
-    fn check_arena_invariants(&self) -> Result<(), InvariantViolation> {
-        let Some(arena) = &self.arena else {
-            return Ok(());
-        };
-        let live: Vec<(usize, crate::arena::RegionSpan)> = self
-            .levels()
-            .iter_occupied()
-            .flat_map(|(i, level)| level.arena_spans().map(move |s| (i, s)))
-            .collect();
-        for (a, (i, sa)) in live.iter().enumerate() {
-            for (j, sb) in live.iter().skip(a + 1) {
-                if sa.overlaps(sb) {
-                    return Err(InvariantViolation(format!(
-                        "arena regions of levels {i} and {j} overlap \
-                         (chunk {:#x}, offsets {} and {})",
-                        sa.chunk, sa.offset, sb.offset
-                    )));
-                }
-            }
-        }
-        for free in arena.free_spans() {
-            for (i, sa) in &live {
-                if sa.overlaps(&free) {
-                    return Err(InvariantViolation(format!(
-                        "level {i} reads a recycled arena span \
-                         (chunk {:#x}, offset {}, len {})",
-                        free.chunk, free.offset, free.len
-                    )));
-                }
-            }
-        }
         Ok(())
     }
 }

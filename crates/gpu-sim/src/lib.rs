@@ -14,11 +14,11 @@
 //! * **Bulk synchrony** — work is issued as *kernels* over a grid of thread
 //!   blocks; blocks are independent and are executed in parallel
 //!   ([`Device::launch_blocks`], [`Device::launch_blocks_map`]).
-//! * **The memory hierarchy** — global memory is allocated in
-//!   [`DeviceBuffer`]s whose sizes are tracked; kernels account the global
-//!   loads/stores they perform and whether accesses are coalesced
-//!   ([`metrics`]), and the [`cost`] module converts those counts into an
-//!   estimated device time using the configured DRAM bandwidth and latency.
+//! * **The memory hierarchy** — kernels account the global loads/stores
+//!   they perform and whether accesses are coalesced ([`metrics`]), and the
+//!   [`cost`] module converts those counts into an estimated device time
+//!   using the configured DRAM bandwidth and latency.  Data lives in plain
+//!   host vectors; only the traffic over it is modelled.
 //! * **Warp-wide cooperation** — `ballot`, `any`, `all`, shuffles and warp
 //!   scans ([`warp`]) used by the multisplit and the query validation stages.
 //! * **Shared-memory tiling** — block-level tiles bounded by the configured
@@ -35,9 +35,11 @@
 //! use gpu_sim::{Device, DeviceConfig};
 //!
 //! let device = Device::new(DeviceConfig::k40c());
-//! let mut buf = device.alloc_from_slice("numbers", &[3u32, 1, 4, 1, 5]);
-//! device.for_each_mut("double", buf.as_mut_slice(), |_i, x| *x *= 2);
-//! assert_eq!(buf.as_slice(), &[6, 2, 8, 2, 10]);
+//! let mut numbers = vec![3u32, 1, 4, 1, 5];
+//! device.for_each_mut("double", &mut numbers, |_i, x| *x *= 2);
+//! assert_eq!(numbers, [6, 2, 8, 2, 10]);
+//! // The kernel booked its traffic: one coalesced read of each element.
+//! assert_eq!(device.metrics().snapshot()["double"].coalesced_read_bytes, 20);
 //! ```
 
 #![warn(missing_docs)]
@@ -47,7 +49,6 @@ pub mod config;
 pub mod cost;
 pub mod device;
 pub mod event;
-pub mod memory;
 pub mod metrics;
 pub mod warp;
 
@@ -56,6 +57,5 @@ pub use config::DeviceConfig;
 pub use cost::{CostEstimate, CostModel};
 pub use device::Device;
 pub use event::PhaseTimer;
-pub use memory::{DeviceBuffer, DoubleBuffer, MemoryTracker};
 pub use metrics::{AccessPattern, KernelMetrics, MetricsRegistry};
 pub use warp::{WarpOps, WARP_SIZE};

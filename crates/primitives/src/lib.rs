@@ -47,7 +47,6 @@ pub mod histogram;
 pub mod merge;
 pub mod multisplit;
 pub mod radix_sort;
-pub mod reduce;
 pub mod scan;
 pub mod search;
 pub(crate) mod util;
@@ -55,7 +54,7 @@ pub(crate) mod util;
 pub use compact::{compact_by_flag, compact_pairs_by_flag};
 pub use fence::FenceArray;
 pub use filter::BloomFilter;
-pub use merge::{merge_by, merge_pairs_by, merge_pairs_by_into};
+pub use merge::{merge_by, merge_pairs_by};
 pub use multisplit::{multisplit_in_place, multisplit_pairs_in_place};
 pub use radix_sort::{sort_keys, sort_pairs};
 pub use scan::{exclusive_scan, exclusive_scan_in_place, inclusive_scan};

@@ -417,8 +417,7 @@ impl SendPtr {
 }
 
 /// Tiled merge-path key/value merge writing into caller-provided output
-/// pointers (the above-cutoff arm shared by [`merge_pairs_by`] and
-/// [`merge_pairs_by_into`]).
+/// pointers (the above-cutoff arm of [`merge_pairs_by`]).
 ///
 /// # Safety
 /// `out_keys`/`out_vals` must each point at `a_keys.len() + b_keys.len()`
@@ -517,55 +516,6 @@ where
     (keys, vals)
 }
 
-/// Merge two sorted key–value sequences by key, ties favouring `a`, writing
-/// into caller-provided output slices (`out_keys.len()` must equal
-/// `a_keys.len() + b_keys.len()`).
-///
-/// This is the allocation-free twin of [`merge_pairs_by`]: the LSM's
-/// carry chain merges into pre-reserved arena regions through it, so the
-/// steady-state merge inner loop never touches the heap.
-#[allow(clippy::too_many_arguments)]
-pub fn merge_pairs_by_into<F>(
-    device: &Device,
-    a_keys: &[u32],
-    a_vals: &[u32],
-    b_keys: &[u32],
-    b_vals: &[u32],
-    out_keys: &mut [u32],
-    out_vals: &mut [u32],
-    less: F,
-) where
-    F: Fn(&u32, &u32) -> bool + Sync,
-{
-    assert_eq!(a_keys.len(), a_vals.len());
-    assert_eq!(b_keys.len(), b_vals.len());
-    let n = a_keys.len() + b_keys.len();
-    assert_eq!(out_keys.len(), n, "output slice length mismatch");
-    assert_eq!(out_vals.len(), n, "output slice length mismatch");
-    record_merge_traffic(device, n, PAIR_BYTES, KEY_BYTES);
-    if n == 0 {
-        return;
-    }
-    if n <= SEQUENTIAL_MERGE_CUTOFF {
-        seq_merge_pairs_into(a_keys, a_vals, b_keys, b_vals, out_keys, out_vals, &less);
-        return;
-    }
-    // SAFETY: the output slices hold exactly `n` writable slots, borrowed
-    // mutably so they overlap no input.
-    unsafe {
-        par_merge_pairs_raw(
-            device,
-            a_keys,
-            a_vals,
-            b_keys,
-            b_vals,
-            out_keys.as_mut_ptr(),
-            out_vals.as_mut_ptr(),
-            &less,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,62 +597,6 @@ mod tests {
         });
         assert_eq!(k, vec![10, 20, 30, 30]);
         assert_eq!(v, vec![1, 2, 3, 9]); // a's 30 precedes b's 30
-    }
-
-    #[test]
-    fn merge_pairs_into_matches_alloc_version() {
-        let device = device();
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(23);
-        // Cover the sequential (unequal and equal lengths) and tiled-parallel
-        // arms of the into-variant against the allocating reference.
-        for (a_len, b_len) in [
-            (100usize, 37usize),
-            (512, 512),
-            (70_000, 70_000),
-            (80_000, 33),
-        ] {
-            let mut a_keys: Vec<u32> = (0..a_len).map(|_| rng.gen::<u32>() % 10_000).collect();
-            let mut b_keys: Vec<u32> = (0..b_len).map(|_| rng.gen::<u32>() % 10_000).collect();
-            a_keys.sort_unstable();
-            b_keys.sort_unstable();
-            let a_vals: Vec<u32> = (0..a_len as u32).collect();
-            let b_vals: Vec<u32> = (0..b_len as u32).map(|i| 1 << 20 | i).collect();
-            let (exp_keys, exp_vals) =
-                merge_pairs_by(&device, &a_keys, &a_vals, &b_keys, &b_vals, lt);
-            let mut out_keys = vec![0u32; a_len + b_len];
-            let mut out_vals = vec![0u32; a_len + b_len];
-            merge_pairs_by_into(
-                &device,
-                &a_keys,
-                &a_vals,
-                &b_keys,
-                &b_vals,
-                &mut out_keys,
-                &mut out_vals,
-                lt,
-            );
-            assert_eq!(out_keys, exp_keys, "a_len={a_len} b_len={b_len}");
-            assert_eq!(out_vals, exp_vals, "a_len={a_len} b_len={b_len}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "output slice length mismatch")]
-    fn merge_pairs_into_rejects_short_output() {
-        let device = device();
-        let mut out_keys = vec![0u32; 1];
-        let mut out_vals = vec![0u32; 1];
-        merge_pairs_by_into(
-            &device,
-            &[1, 2],
-            &[0, 0],
-            &[3],
-            &[0],
-            &mut out_keys,
-            &mut out_vals,
-            lt,
-        );
     }
 
     #[test]

@@ -306,6 +306,52 @@ fn assert_matches_model(
         "{ctx}: plain lookup"
     );
     assert_eq!(sharded.lookup(lookups), expected_lookups, "{ctx}: lookup");
+    assert_eq!(
+        plain.bulk_get(lookups),
+        expected_lookups,
+        "{ctx}: plain bulk_get"
+    );
+    assert_eq!(
+        sharded.bulk_get(lookups),
+        expected_lookups,
+        "{ctx}: bulk_get"
+    );
+    // Successor and predecessor are strict: the nearest live key above or
+    // below the query, which may sit in another shard.
+    let pair = |(&k, &v): (&u32, &u32)| (k, v);
+    let expected_successors: Vec<Option<(u32, u32)>> = lookups
+        .iter()
+        .map(|&q| {
+            model
+                .range((std::ops::Bound::Excluded(q), std::ops::Bound::Unbounded))
+                .next()
+                .map(pair)
+        })
+        .collect();
+    let expected_predecessors: Vec<Option<(u32, u32)>> = lookups
+        .iter()
+        .map(|&q| model.range(..q).next_back().map(pair))
+        .collect();
+    assert_eq!(
+        plain.successor(lookups),
+        expected_successors,
+        "{ctx}: plain successor"
+    );
+    assert_eq!(
+        sharded.successor(lookups),
+        expected_successors,
+        "{ctx}: successor"
+    );
+    assert_eq!(
+        plain.predecessor(lookups),
+        expected_predecessors,
+        "{ctx}: plain predecessor"
+    );
+    assert_eq!(
+        sharded.predecessor(lookups),
+        expected_predecessors,
+        "{ctx}: predecessor"
+    );
     let expected_counts: Vec<u32> = intervals
         .iter()
         .map(|&(lo, hi)| {
@@ -402,6 +448,82 @@ fn sharded_differential_with_rebalancing_mid_sequence() {
     let stats = sharded.stats();
     assert!(stats.rebalance_splits >= 3, "suite must actually split");
     assert!(stats.rebalance_merges >= 2, "suite must actually merge");
+}
+
+#[test]
+fn sharded_split_matches_model_in_a_dense_domain() {
+    // Keys come from a small domain, so later batches overwrite and delete
+    // keys that earlier batches left live, and both splits cut through
+    // shards whose levels hold many versions of the same keys: a fitted
+    // split after batch 10, an explicit split key after batch 15.
+    const KEY_DOMAIN: u32 = 20_000;
+    let batch_size = 32;
+    let device = device();
+    let mut plain = GpuLsm::new(device.clone(), batch_size).unwrap();
+    let sharded = ShardedLsm::new(device, batch_size, 2).unwrap();
+    let mut model: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut rng = StdRng::seed_from_u64(43);
+    let lookups: Vec<u32> = (0..KEY_DOMAIN)
+        .step_by(7)
+        .chain([0, 1, KEY_DOMAIN, KEY_DOMAIN + 1, MAX_KEY])
+        .collect();
+    let mut fitted = None;
+
+    for i in 0..20 {
+        if i == 10 {
+            let at = sharded.split_shard(0).expect("fitted split");
+            assert!(0 < at && at < KEY_DOMAIN, "split key {at} misses the data");
+            fitted = Some(at);
+        }
+        if i == 15 {
+            let at = fitted.unwrap() / 2;
+            sharded.split_shard_at(0, at).expect("explicit split");
+        }
+        // Distinct keys keep the batch order-independent, so the sequential
+        // model is exact.
+        let mut batch = UpdateBatch::with_capacity(batch_size);
+        let mut used = std::collections::HashSet::new();
+        while used.len() < batch_size {
+            let key = rng.gen_range(0..KEY_DOMAIN);
+            if !used.insert(key) {
+                continue;
+            }
+            if rng.gen_bool(0.2) {
+                batch.delete(key);
+                model.remove(&key);
+            } else {
+                let value = rng.gen::<u32>();
+                batch.insert(key, value);
+                model.insert(key, value);
+            }
+        }
+        plain.update(&batch).unwrap();
+        sharded.update(&batch).unwrap();
+
+        let mut intervals = vec![
+            (0, KEY_DOMAIN / 4),
+            (KEY_DOMAIN / 4, KEY_DOMAIN / 2),
+            (KEY_DOMAIN / 2, KEY_DOMAIN),
+            (0, MAX_KEY),
+            (KEY_DOMAIN, 5), // inverted
+            (17, 17),
+        ];
+        for s in sharded.router().split_points() {
+            intervals.push((s.saturating_sub(100), s.saturating_add(100)));
+            intervals.push((s, s));
+        }
+        assert_matches_model(
+            &sharded,
+            &plain,
+            &model,
+            &lookups,
+            &intervals,
+            &format!("batch {i}"),
+        );
+        sharded.check_invariants().unwrap();
+    }
+    assert_eq!(sharded.num_shards(), 4);
+    assert_eq!(sharded.stats().rebalance_splits, 2);
 }
 
 proptest! {

