@@ -25,7 +25,7 @@ use gpu_primitives::multisplit::multisplit_pairs_in_place;
 use gpu_sim::AccessPattern;
 use rayon::prelude::*;
 
-use crate::key::{is_regular, key_less, placebo, EncodedKey, Value};
+use crate::key::{is_regular, key_less, EncodedKey, Value};
 use crate::lsm::GpuLsm;
 
 /// Summary of what a cleanup pass did.
@@ -123,14 +123,11 @@ impl GpuLsm {
         merged_keys.truncate(valid_count);
         merged_values.truncate(valid_count);
 
-        // Step 4: pad with placebos to a multiple of b.
+        // Steps 4 and 5: pad with placebos to a multiple of b while
+        // redistributing into levels for the new batch count.
         let padded_len = valid_count.div_ceil(self.batch_size()) * self.batch_size();
         let placebos_added = padded_len - valid_count;
-        merged_keys.resize(padded_len, placebo());
-        merged_values.resize(padded_len, 0);
-
-        // Step 5: redistribute into levels for the new batch count.
-        self.replace_contents(merged_keys, merged_values);
+        self.place_sorted(valid_count, merged_keys.into_iter().zip(merged_values));
 
         CleanupReport {
             elements_before,

@@ -31,6 +31,12 @@
 //!
 //! Every choice is counted in [`crate::stats::MergeCounters`], so the
 //! incremental-vs-rebuilt split is observable from [`crate::LsmStats`].
+//!
+//! The executor takes `&self`: it reads the participating levels in place
+//! and returns its output unplaced, and only the install (`&mut self`, no
+//! element moves) drops the consumed levels and places the output.  So a
+//! reader–writer lock can let queries run beside a batch's merges (see
+//! [`crate::ConcurrentGpuLsm`]).
 
 use gpu_primitives::fence::{FenceArray, DEFAULT_FENCE_INTERVAL};
 use gpu_primitives::filter::BloomFilter;
@@ -40,7 +46,7 @@ use gpu_sim::AccessPattern;
 
 use crate::key::{key_less, original_key, EncodedKey, Value};
 use crate::level::{carry_filter_min_len, Level, LevelSet, FILTER_MIN_LEN};
-use crate::lsm::GpuLsm;
+use crate::lsm::{EncodeScratch, GpuLsm};
 
 /// Widest search window tolerated before a merged fence array is rebuilt
 /// from the output: each merge step can add one input's window to the
@@ -112,6 +118,22 @@ impl CompactionPlan {
     }
 }
 
+/// A batch whose carry chain has run but whose output no query can see
+/// yet: the merged level and the plan that says where it goes.  Made by
+/// [`GpuLsm::prepare_update`] or [`GpuLsm::prepare_insert`] under `&self`,
+/// so queries keep answering from the levels the chain reads; made visible
+/// by [`GpuLsm::install`].
+#[derive(Debug)]
+pub(crate) struct PreparedBatch {
+    plan: CompactionPlan,
+    level: Level,
+    /// The batch counter `r` the plan was made against: installing onto
+    /// any other state would drop levels the chain never read.
+    num_batches: usize,
+    /// Update operations the batch carries (before padding).
+    ops: u64,
+}
+
 impl GpuLsm {
     /// The cascade the *next* batch insertion will run — observability into
     /// the planner without moving any data.
@@ -119,27 +141,57 @@ impl GpuLsm {
         CompactionPlan::for_insert(&self.levels, self.batch_size(), self.bloom_bits)
     }
 
-    /// The carry chain: plan the cascade, execute it, place the output.
-    pub(crate) fn push_sorted_buffer(&mut self, keys: Vec<EncodedKey>, values: Vec<Value>) {
+    /// The first half of a carry chain: plan the cascade and run it into
+    /// fresh vectors, reading the participating levels in place.  Nothing
+    /// a query sees changes until [`GpuLsm::install`].
+    pub(crate) fn prepare_sorted(
+        &self,
+        keys: Vec<EncodedKey>,
+        values: Vec<Value>,
+        ops: u64,
+        scratch: &mut EncodeScratch,
+    ) -> PreparedBatch {
         let plan = self.plan_next_insert();
-        let level = self.execute_plan(&plan, keys, values);
-        self.levels.place(plan.target_level, level);
+        let level = self.execute_plan(&plan, keys, values, scratch);
+        PreparedBatch {
+            plan,
+            level,
+            num_batches: self.num_batches,
+            ops,
+        }
+    }
+
+    /// The second half of a carry chain: drop the levels it consumed,
+    /// place its output and bump `r`.  No element moves here.
+    pub(crate) fn install(&mut self, prepared: PreparedBatch) {
+        debug_assert_eq!(
+            prepared.num_batches, self.num_batches,
+            "a prepared batch installs onto the state it was prepared against"
+        );
+        for &i in &prepared.plan.participating {
+            self.levels.take(i);
+        }
+        self.levels
+            .place(prepared.plan.target_level, prepared.level);
         self.num_batches += 1;
+        self.op_activity.record_updates(prepared.ops);
     }
 
     /// Run a planned cascade: merge the sorted buffer with each
     /// participating level in order, maintaining fences across every step
     /// and the filter across the final one, then assemble the output level.
     ///
-    /// Every step merges into fresh vectors.  The consumed level's arrays
-    /// and the previous step's output drop as the chain climbs, and the
-    /// first step hands the batch-encode buffers back to
-    /// [`GpuLsm::update`]'s scratch, so the next batch encodes into them.
+    /// Every step merges into fresh vectors and reads the level it consumes
+    /// in place; the level stays resident until the install drops it.  The
+    /// previous step's output drops as the chain climbs, and the first step
+    /// hands the batch-encode buffers back to `scratch`, so the next batch
+    /// encodes into them.
     fn execute_plan(
-        &mut self,
+        &self,
         plan: &CompactionPlan,
         mut keys: Vec<EncodedKey>,
         mut values: Vec<Value>,
+        scratch: &mut EncodeScratch,
     ) -> Level {
         // The buffer's fences: one cheap sampling pass over the sorted
         // batch, merged (not rebuilt) at every subsequent step.
@@ -151,20 +203,20 @@ impl GpuLsm {
         let steps = plan.merge_steps();
         for (step, &i) in plan.participating.iter().enumerate() {
             // The plan lists exactly the full levels below the first empty
-            // one, and `&mut self` keeps them in place since it was made
+            // one, and it was made from this same `&self`
             // (`tests::planner_follows_binary_counter`).
             #[allow(clippy::expect_used)]
-            let level = self.levels.take(i).expect("planned level is occupied");
+            let level = self.levels.get(i).expect("planned level is occupied");
             self.merge_activity.record_carry_step();
 
             // Incremental aux maintenance needs the *pre-merge* runs, so it
-            // runs before the data merge consumes them.
-            let merged_fences = self.merge_fences(fences.as_ref(), &level, &keys);
+            // runs before the data merge replaces the buffer.
+            let merged_fences = self.merge_fences(fences.as_ref(), level, &keys);
             // Only the final step's output survives (intermediates are
             // consumed by the next step), so the filter — whose maintenance
             // costs hashing, unlike the fences — is produced exactly once.
             if step + 1 == steps && plan.build_filter {
-                filter = self.merge_filters(&level, &keys);
+                filter = self.merge_filters(level, &keys);
             }
 
             // Merge comparing original keys only (status bit ignored), with
@@ -183,7 +235,7 @@ impl GpuLsm {
             let buffer_keys = std::mem::replace(&mut keys, merged_keys);
             let buffer_values = std::mem::replace(&mut values, merged_values);
             if step == 0 {
-                self.encode_scratch = (buffer_keys, buffer_values);
+                *scratch = (buffer_keys, buffer_values);
             }
 
             // Accept the merged fences unless repeated merging widened the

@@ -45,7 +45,9 @@ pub struct RebalanceConfig {
     pub max_shards: usize,
     /// Never merge below this many shards.
     pub min_shards: usize,
-    /// Evaluate the hot/cold thresholds every this many update batches.
+    /// Evaluate the hot/cold thresholds every this many update batches of
+    /// [`crate::ShardedLsm::update`]; under [`crate::AdmittedLsm`], every
+    /// this many applier windows (one shard's coalesced queue slice each).
     pub check_interval: u64,
 }
 

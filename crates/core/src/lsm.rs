@@ -15,7 +15,11 @@
 //! planner (which levels participate, where the output lands, which
 //! acceleration structures it needs — all computed before any data moves)
 //! and an executor that maintains fences and filters *incrementally*
-//! across the merges.
+//! across the merges.  Every update runs in two phases: a `&self`
+//! **prepare** encodes, sorts and merges into fresh vectors, reading the
+//! levels in place, and a `&mut self` **install** drops the consumed
+//! levels and places the output.  [`crate::ConcurrentGpuLsm`] holds its
+//! write lock for the install alone.
 
 use std::sync::Arc;
 
@@ -24,10 +28,17 @@ use gpu_primitives::radix_sort::sort_pairs;
 use gpu_sim::Device;
 
 use crate::batch::UpdateBatch;
+use crate::compaction::PreparedBatch;
 use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
 use crate::key::{encode_regular, placebo, EncodedKey, Key, Value, MAX_KEY};
 use crate::level::{Level, LevelSet};
+
+/// Reusable batch-encode buffers: a batch encodes into them and its carry
+/// chain hands them back after its first merge step consumes them, so
+/// steady-state updates re-encode into the same allocation instead of a
+/// fresh pair of vectors per batch.
+pub(crate) type EncodeScratch = (Vec<EncodedKey>, Vec<Value>);
 
 /// The GPU LSM: a dynamic dictionary with batched updates and parallel
 /// queries.
@@ -49,11 +60,9 @@ pub struct GpuLsm {
     /// Bloom filter bits per key of every level this structure builds
     /// (0 = no filters), fixed at construction.
     pub(crate) bloom_bits: u32,
-    /// Reusable batch-encode buffers: [`GpuLsm::update`] encodes into these
-    /// and the carry chain hands the consumed buffer back after its first
-    /// merge step, so steady-state submits re-encode into the same
-    /// allocation instead of a fresh pair of vectors per batch.
-    pub(crate) encode_scratch: (Vec<EncodedKey>, Vec<Value>),
+    /// The batch-encode buffers of [`GpuLsm::update`] and
+    /// [`GpuLsm::insert`].
+    encode_scratch: EncodeScratch,
 }
 
 impl GpuLsm {
@@ -149,42 +158,45 @@ impl GpuLsm {
         let mut keys: Vec<EncodedKey> = pairs.iter().map(|&(k, _)| encode_regular(k)).collect();
         let mut values: Vec<Value> = pairs.iter().map(|&(_, v)| v).collect();
         sort_pairs(&lsm.device, &mut keys, &mut values);
-
-        // Pad to a multiple of b with placebos (max-key tombstones); they
-        // sort to the very end by construction, so appending keeps the array
-        // sorted by original key.
-        let padded_len = pairs.len().div_ceil(batch_size) * batch_size;
-        keys.resize(padded_len, placebo());
-        values.resize(padded_len, 0);
-
-        lsm.num_batches = padded_len / batch_size;
-        lsm.distribute_sorted(keys, values);
+        lsm.place_sorted(keys.len(), keys.into_iter().zip(values));
         Ok(lsm)
     }
 
-    /// Slice an already-sorted array into levels following the set bits of
-    /// `self.num_batches`, smallest level first (smaller keys end up in
-    /// smaller levels, as in the paper's cleanup).
+    /// Replace the contents with `len` pairs sorted by original key: `r`
+    /// becomes `ceil(len / b)`, and the pairs are sliced into the levels of
+    /// its set bits, smallest level first (smaller keys end up in smaller
+    /// levels, as in the paper's cleanup).  The largest level's tail is
+    /// padded with placebos (max-key tombstones, which sort last).  Each
+    /// level is filled in one pass into exact reservations, so the source
+    /// arrays are never copied whole.
     ///
-    /// Levels placed here come from a bulk rebuild and are long-lived, so
-    /// they get the full query-acceleration treatment (fences + filters,
-    /// see [`Level::from_sorted`]).
-    fn distribute_sorted(&mut self, keys: Vec<EncodedKey>, values: Vec<Value>) {
-        debug_assert_eq!(keys.len(), self.num_batches * self.batch_size);
+    /// Levels placed here come from a bulk build, a cleanup or a shard
+    /// rebuild and are long-lived, so they get the full query-acceleration
+    /// treatment (fences + filters, see [`Level::from_sorted`]).
+    pub(crate) fn place_sorted(
+        &mut self,
+        len: usize,
+        mut pairs: impl Iterator<Item = (EncodedKey, Value)>,
+    ) {
+        self.num_batches = len.div_ceil(self.batch_size);
         self.levels.clear();
-        let mut offset = 0usize;
         for bit in 0..usize::BITS {
-            if self.num_batches & (1 << bit) != 0 {
-                let len = self.batch_size << bit;
-                let level_keys = keys[offset..offset + len].to_vec();
-                let level_values = values[offset..offset + len].to_vec();
-                let level = Level::from_sorted(level_keys, level_values, self.bloom_bits);
-                self.record_accel_build(&level);
-                self.levels.place(bit as usize, level);
-                offset += len;
+            if self.num_batches & (1 << bit) == 0 {
+                continue;
             }
+            let level_len = self.batch_size << bit;
+            let mut keys = Vec::with_capacity(level_len);
+            let mut values = Vec::with_capacity(level_len);
+            for (k, v) in pairs.by_ref().take(level_len) {
+                keys.push(k);
+                values.push(v);
+            }
+            keys.resize(level_len, placebo());
+            values.resize(level_len, 0);
+            let level = Level::from_sorted(keys, values, self.bloom_bits);
+            self.record_accel_build(&level);
+            self.levels.place(bit as usize, level);
         }
-        debug_assert_eq!(offset, keys.len());
     }
 
     /// Account the one-time construction traffic of a level's
@@ -213,17 +225,56 @@ impl GpuLsm {
     /// Apply a mixed batch of insertions and deletions (at most `b`
     /// operations; shorter batches are padded, see [`UpdateBatch`]).
     pub fn update(&mut self, batch: &UpdateBatch) -> Result<()> {
-        // Encode into the reusable scratch pair; the carry chain returns
-        // the buffer after its first merge step consumes it, so repeated
-        // updates stop allocating here once warm.
-        let (mut keys, mut values) = std::mem::take(&mut self.encode_scratch);
-        batch.encode_padded_into(self.batch_size, &mut keys, &mut values)?;
-        self.op_activity.record_updates(batch.len() as u64);
-        self.sort_and_push(keys, values, None);
+        self.apply(|lsm, scratch| lsm.prepare_update(batch, scratch))
+    }
+
+    /// Insert key–value pairs (at most `b`).
+    ///
+    /// Encodes directly from the pair slice (no intermediate op vector) —
+    /// the hot path for small-batch workloads.
+    pub fn insert(&mut self, pairs: &[(Key, Value)]) -> Result<()> {
+        self.apply(|lsm, scratch| lsm.prepare_insert(pairs, scratch))
+    }
+
+    /// Prepare one batch against this structure's encode scratch, then
+    /// install it.
+    fn apply(
+        &mut self,
+        prepare: impl FnOnce(&Self, &mut EncodeScratch) -> Result<PreparedBatch>,
+    ) -> Result<()> {
+        let mut scratch = std::mem::take(&mut self.encode_scratch);
+        let prepared = prepare(self, &mut scratch);
+        self.encode_scratch = scratch;
+        self.install(prepared?);
         Ok(())
     }
 
-    /// Sort an encoded batch and push it down the carry chain.
+    /// Encode a mixed batch into `scratch` and run its carry chain (the
+    /// prepare phase of [`GpuLsm::update`]).
+    pub(crate) fn prepare_update(
+        &self,
+        batch: &UpdateBatch,
+        scratch: &mut EncodeScratch,
+    ) -> Result<PreparedBatch> {
+        let (mut keys, mut values) = std::mem::take(scratch);
+        batch.encode_padded_into(self.batch_size, &mut keys, &mut values)?;
+        Ok(self.sort_and_prepare(keys, values, None, batch.len() as u64, scratch))
+    }
+
+    /// Encode key–value pairs and run their carry chain (the prepare phase
+    /// of [`GpuLsm::insert`]).
+    pub(crate) fn prepare_insert(
+        &self,
+        pairs: &[(Key, Value)],
+        scratch: &mut EncodeScratch,
+    ) -> Result<PreparedBatch> {
+        let (keys, values, sorted) = UpdateBatch::encode_pairs_padded(pairs, self.batch_size)?;
+        // The sortedness probe rode along with the encode loop, so pass it
+        // as a known fact instead of re-probing.
+        Ok(self.sort_and_prepare(keys, values, Some(sorted), pairs.len() as u64, scratch))
+    }
+
+    /// Sort an encoded batch and run its carry chain.
     ///
     /// The sort is by the full encoded key, status bit included (Fig. 3
     /// line 9): tombstones precede same-key insertions from the same
@@ -233,32 +284,21 @@ impl GpuLsm {
     /// Either way a pre-sorted batch (sorted bulk loads, replayed runs,
     /// the duplicate-padded tail of a short batch) skips the sort outright
     /// — a stable sort of already-sorted data is the identity.
-    fn sort_and_push(
-        &mut self,
+    fn sort_and_prepare(
+        &self,
         mut keys: Vec<EncodedKey>,
         mut values: Vec<Value>,
         known_sorted: Option<bool>,
-    ) {
+        ops: u64,
+        scratch: &mut EncodeScratch,
+    ) -> PreparedBatch {
         self.device.timer().time("insert::sort_batch", || {
             let sorted = known_sorted.unwrap_or_else(|| keys.windows(2).all(|w| w[0] <= w[1]));
             if !sorted {
                 sort_pairs(&self.device, &mut keys, &mut values);
             }
         });
-        self.push_sorted_buffer(keys, values);
-    }
-
-    /// Insert key–value pairs (at most `b`).
-    ///
-    /// Encodes directly from the pair slice (no intermediate op vector) —
-    /// the hot path for small-batch workloads.
-    pub fn insert(&mut self, pairs: &[(Key, Value)]) -> Result<()> {
-        let (keys, values, sorted) = UpdateBatch::encode_pairs_padded(pairs, self.batch_size)?;
-        self.op_activity.record_updates(pairs.len() as u64);
-        // The sortedness probe rode along with the encode loop, so pass it
-        // as a known fact instead of re-probing.
-        self.sort_and_push(keys, values, Some(sorted));
-        Ok(())
+        self.prepare_sorted(keys, values, ops, scratch)
     }
 
     /// Delete keys (at most `b`) by inserting tombstones.
@@ -306,18 +346,6 @@ impl GpuLsm {
     /// structures).
     pub fn levels(&self) -> &LevelSet {
         &self.levels
-    }
-
-    /// Replace the entire contents from an already-sorted, already-padded
-    /// array (used by cleanup).
-    pub(crate) fn replace_contents(&mut self, keys: Vec<EncodedKey>, values: Vec<Value>) {
-        debug_assert_eq!(keys.len() % self.batch_size, 0);
-        self.num_batches = keys.len() / self.batch_size;
-        if self.num_batches == 0 {
-            self.levels.clear();
-        } else {
-            self.distribute_sorted(keys, values);
-        }
     }
 
     /// Reassemble an LSM from persisted level dumps (crash recovery): each

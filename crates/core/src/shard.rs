@@ -2,8 +2,8 @@
 //!
 //! The paper scales a *single* LSM's batch throughput; a serving system
 //! wants many clients issuing mixed update/query traffic with throughput
-//! limited only by hardware.  [`crate::ConcurrentGpuLsm`] funnels every
-//! operation through one reader–writer lock, so one update batch blocks the
+//! limited only by hardware.  [`crate::ConcurrentGpuLsm`] runs a batch's
+//! merges beside its queries, but it applies one batch at a time over the
 //! whole key space.  `ShardedLsm` removes that bottleneck by partitioning
 //! the key domain into `N` contiguous key ranges (see
 //! [`crate::router::ShardRouter`]), each an independent [`GpuLsm`] behind
@@ -70,10 +70,12 @@
 //!   so they parallelise freely with each other but are excluded by a
 //!   rebalance, which takes the **write** lock for the rebuild-and-swap.
 //! * With [`crate::RebalanceConfig::enabled`], hot-shard detection runs every
-//!   `check_interval` update batches off the per-shard lifetime op
-//!   counters ([`crate::LsmStats::update_ops`]): a shard carrying more
-//!   than `hot_fraction` of recent update traffic is split, an adjacent
-//!   pair carrying less than `cold_fraction` combined is merged.
+//!   `check_interval` update batches (under [`crate::AdmittedLsm`], every
+//!   `check_interval` applier windows) off the per-shard lifetime op
+//!   counters ([`crate::LsmStats::update_ops`], an O(1) read): a shard
+//!   carrying more than `hot_fraction` of recent update traffic is split,
+//!   an adjacent pair carrying less than `cold_fraction` combined is
+//!   merged.
 //!
 //! ## Consistency model
 //!
@@ -86,11 +88,6 @@
 //! the structure degenerates to exactly one `GpuLsm` and every answer is
 //! byte-identical to the unsharded structure's.
 
-// Three sites here can still panic, each until it is converted: a
-// validated sub-batch a shard rejects (`update`), and the hottest shard
-// and the coldest adjacent pair of a routing table (`plan_rebalance`).
-#![allow(clippy::expect_used)]
-
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -100,10 +97,10 @@ use rayon::prelude::*;
 use crate::batch::UpdateBatch;
 use crate::cleanup::CleanupReport;
 use crate::concurrent::ConcurrentGpuLsm;
-use crate::config::LsmConfig;
+use crate::config::{LsmConfig, RebalanceConfig};
 use crate::count::SEARCHES_PER_LEVEL;
 use crate::error::{LsmError, Result};
-use crate::key::{is_tombstone, original_key, Key, Value, MAX_KEY};
+use crate::key::{encode_regular, is_tombstone, original_key, Key, Value, MAX_KEY};
 use crate::lsm::GpuLsm;
 use crate::range::RangeResult;
 use crate::router::{ShardRouter, SubQuery};
@@ -469,7 +466,7 @@ impl ShardedLsm {
     }
 
     // ------------------------------------------------------------------
-    // Updates (per-shard exclusive phases)
+    // Updates (per-shard writes)
     // ------------------------------------------------------------------
 
     /// Apply a mixed update batch: validated as a whole, split by shard in
@@ -479,8 +476,10 @@ impl ShardedLsm {
     ///
     /// Validation happens *before* any shard is touched, so an invalid
     /// batch mutates nothing.  Each shard receives at most one sub-batch
-    /// and applies it under its own write lock; shards not named by the
-    /// batch are never locked.  The routing table's read lock is held for
+    /// and applies it in two phases, its merges beside the shard's queries
+    /// and a brief install under its write lock (see
+    /// [`ConcurrentGpuLsm`]); shards not named by the batch are never
+    /// locked.  The routing table's read lock is held for
     /// the duration of the apply, so the batch lands entirely in one
     /// routing generation.
     pub fn update(&self, batch: &UpdateBatch) -> Result<()> {
@@ -512,19 +511,16 @@ impl ShardedLsm {
                     .filter(|(_, p)| !p.is_empty())
                     .collect();
                 // Sub-batches passed validation above (non-empty, within b,
-                // keys in domain), so per-shard updates cannot fail; the
-                // expect documents that invariant rather than handling a
-                // reachable error.
+                // keys in domain), so a shard rejects none of them; its
+                // `Result` is passed on all the same.
                 fan_out(
                     &parts,
                     // Each sub-batch is padded to b.
                     |_| self.batch_size,
-                    |(s, part)| {
-                        table.shards[*s]
-                            .update(part)
-                            .expect("validated sub-batch cannot be rejected");
-                    },
-                );
+                    |(s, part)| table.shards[*s].update(part),
+                )
+                .into_iter()
+                .collect::<Result<()>>()?;
             }
         }
         if self.config.rebalance.enabled {
@@ -582,7 +578,10 @@ impl ShardedLsm {
     /// of its per-level fence samples (an order-statistics sketch that
     /// already exists for query acceleration) combined with the recent
     /// update keys falling in the shard's range, with the midpoint of the
-    /// shard's bounds as the data-free fallback.
+    /// shard's bounds as the data-free fallback.  Only
+    /// [`ShardedLsm::update`] samples recent keys: behind
+    /// [`crate::AdmittedLsm`] the split key comes from the fence samples
+    /// alone.
     pub fn split_shard(&self, s: usize) -> Result<Key> {
         let key = self.fit_split_key(s)?;
         self.split_shard_at(s, key)?;
@@ -598,15 +597,16 @@ impl ShardedLsm {
         let mut guard = self.table.write();
         let table = guard.clone();
         let router = table.router.with_split(s, key)?;
-        let (lo, hi) = table.router.shard_bounds(s);
         // Rebuild from the immutable sorted runs: a full-range read of the
         // shard's *visible* state (equivalent to a cleanup — stale
         // duplicates and spent tombstones are dropped, which is safe
         // because every key is owned by exactly one shard).
-        let pairs = Self::extract_pairs(&table.shards[s], lo, hi);
-        let cut = pairs.partition_point(|&(k, _)| k < key);
-        let left = self.build_shard(&pairs[..cut])?;
-        let right = self.build_shard(&pairs[cut..])?;
+        let visible = visible_pairs(&table.shards[s], table.router.shard_bounds(s));
+        let (keys, values) = (&visible.keys[..], &visible.values[..]);
+        let cut = keys.partition_point(|&k| k < key);
+        let left = self.build_shard(&[(&keys[..cut], &values[..cut])])?;
+        let right = self.build_shard(&[(&keys[cut..], &values[cut..])])?;
+        drop(visible);
         // The replacement shards inherit the drained shard's cumulative
         // operation counters (split evenly — the historical per-half
         // attribution is unknowable), so per-shard load stays comparable
@@ -655,17 +655,15 @@ impl ShardedLsm {
         let mut guard = self.table.write();
         let table = guard.clone();
         let router = table.router.with_merge(s)?;
-        let (lo, _) = table.router.shard_bounds(s);
-        let (_, hi) = table.router.shard_bounds(s + 1);
-        // The two ranges are adjacent and each extract is key-sorted, so
+        // The two ranges are adjacent and each read is key-sorted, so
         // their concatenation is the merged shard's sorted visible state.
-        let mut pairs = Self::extract_pairs(&table.shards[s], lo, table.router.shard_bounds(s).1);
-        pairs.extend(Self::extract_pairs(
-            &table.shards[s + 1],
-            table.router.shard_bounds(s + 1).0,
-            hi,
-        ));
-        let merged = self.build_shard(&pairs)?;
+        let [left, right] =
+            [s, s + 1].map(|i| visible_pairs(&table.shards[i], table.router.shard_bounds(i)));
+        let merged = self.build_shard(&[
+            (&left.keys[..], &left.values[..]),
+            (&right.keys[..], &right.values[..]),
+        ])?;
+        drop((left, right));
         // Counter inheritance, as in `split_shard_at`: the merged shard
         // carries the sum of its parents' cumulative operation counters.
         let (a_updates, a_lookups) = table.shards[s].with_read(|l| l.op_activity.snapshot());
@@ -697,18 +695,19 @@ impl ShardedLsm {
         Ok(())
     }
 
-    /// The shard's visible key–value pairs in `[lo, hi]`, key-sorted.
-    fn extract_pairs(shard: &ConcurrentGpuLsm, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        let result = shard.range(&[(lo, hi)]);
-        let (keys, values) = result.query(0);
-        keys.iter().copied().zip(values.iter().copied()).collect()
-    }
-
-    /// Bulk-build one replacement shard from extracted pairs with the
-    /// service's resolved config.
-    fn build_shard(&self, pairs: &[(Key, Value)]) -> Result<ConcurrentGpuLsm> {
-        let lsm =
-            GpuLsm::bulk_build_resolved(self.device.clone(), self.batch_size, pairs, &self.config)?;
+    /// Build one replacement shard with the service's resolved config
+    /// from `runs` of visible pairs: each run's keys and values as a range
+    /// read returns them, the runs in key order.  The levels are encoded
+    /// straight from the runs, with no sort and no copy of the whole.
+    fn build_shard(&self, runs: &[(&[Key], &[Value])]) -> Result<ConcurrentGpuLsm> {
+        let len = runs.iter().map(|(keys, _)| keys.len()).sum();
+        let pairs = runs.iter().flat_map(|(keys, values)| {
+            keys.iter()
+                .map(|&k| encode_regular(k))
+                .zip(values.iter().copied())
+        });
+        let mut lsm = GpuLsm::from_resolved(self.device.clone(), self.batch_size, &self.config)?;
+        lsm.place_sorted(len, pairs);
         Ok(ConcurrentGpuLsm::new(lsm))
     }
 
@@ -747,6 +746,10 @@ impl ShardedLsm {
     /// (the admission layer needs to drain queues before acting).  Returns
     /// `None` when the traffic sample is below
     /// [`crate::RebalanceConfig::min_ops`] or no threshold trips.
+    ///
+    /// Each shard's traffic is its lifetime update counter, the number
+    /// [`crate::LsmStats::update_ops`] reports, read in O(1): a shard's
+    /// read lock waits at most for an install, never for a carry merge.
     pub fn plan_rebalance(&self) -> Option<RebalanceAction> {
         let cfg = &self.config.rebalance;
         let table = self.table_snapshot();
@@ -754,7 +757,7 @@ impl ShardedLsm {
             .shards
             .iter()
             .zip(table.ids.iter())
-            .map(|(shard, &id)| (id, shard.with_read(|l| l.stats().update_ops)))
+            .map(|(shard, &id)| (id, shard.with_read(|l| l.op_activity.snapshot().0)))
             .collect();
         let mut st = self.rebalance.lock();
         let deltas: Vec<u64> = current
@@ -769,29 +772,7 @@ impl ShardedLsm {
         // measures fresh traffic.
         st.baselines = current.into_iter().collect();
         drop(st);
-
-        let n = table.shards.len();
-        let (hot, &hot_delta) = deltas
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, d)| *d)
-            .expect("at least one shard");
-        if n < cfg.max_shards && (hot_delta as f64) > cfg.hot_fraction * total as f64 {
-            let (lo, hi) = table.router.shard_bounds(hot);
-            if lo < hi {
-                return Some(RebalanceAction::Split(hot));
-            }
-        }
-        if n > cfg.min_shards.max(1) {
-            let (cold, pair_delta) = (0..n - 1)
-                .map(|i| (i, deltas[i] + deltas[i + 1]))
-                .min_by_key(|&(_, d)| d)
-                .expect("at least one adjacent pair");
-            if (pair_delta as f64) < cfg.cold_fraction * total as f64 {
-                return Some(RebalanceAction::Merge(cold));
-            }
-        }
-        None
+        rebalance_action(cfg, &table.router, &deltas)
     }
 
     /// Execute a rebalance decision.
@@ -1116,6 +1097,60 @@ impl ShardedLsm {
     }
 }
 
+/// Spans a rebuild's read of one shard is cut into: one lane group, so the
+/// range call answers all of them into one output.
+const REBUILD_SPANS: usize = crate::lookup::LANE_GROUP;
+
+/// The visible pairs of `shard` in `(lo, hi)`, key-sorted, as the whole
+/// `keys` and `values` of one range call.  The call merges each span's
+/// candidates, stale ones included, in buffers of that span's size, so
+/// `(lo, hi)` is cut into up to [`REBUILD_SPANS`] adjacent spans at the
+/// shard's fence samples, about equal in resident elements; ascending and
+/// disjoint, their answers concatenate in key order.
+fn visible_pairs(shard: &ConcurrentGpuLsm, (lo, hi): (Key, Key)) -> RangeResult {
+    let samples = shard.with_read(GpuLsm::fence_sample_keys);
+    let step = samples.len().div_ceil(REBUILD_SPANS).max(1);
+    let mut spans = Vec::with_capacity(REBUILD_SPANS);
+    let mut start = lo;
+    for &cut in samples.iter().step_by(step).take(REBUILD_SPANS - 1) {
+        if start < cut && cut <= hi {
+            spans.push((start, cut - 1));
+            start = cut;
+        }
+    }
+    spans.push((start, hi));
+    shard.range(&spans)
+}
+
+/// The hot/cold decision for per-shard update deltas `deltas` (in shard
+/// order, at least `min_ops` in total): split the hottest shard if it
+/// carries more than `hot_fraction` of them and can be split, else merge
+/// the coldest adjacent pair if it carries less than `cold_fraction`.
+fn rebalance_action(
+    cfg: &RebalanceConfig,
+    router: &ShardRouter,
+    deltas: &[u64],
+) -> Option<RebalanceAction> {
+    let total: u64 = deltas.iter().sum();
+    let n = deltas.len();
+    let (hot, &hot_delta) = deltas.iter().enumerate().max_by_key(|&(_, d)| *d)?;
+    if n < cfg.max_shards && (hot_delta as f64) > cfg.hot_fraction * total as f64 {
+        let (lo, hi) = router.shard_bounds(hot);
+        if lo < hi {
+            return Some(RebalanceAction::Split(hot));
+        }
+    }
+    if n > cfg.min_shards.max(1) {
+        let (cold, pair_delta) = (0..n - 1)
+            .map(|i| (i, deltas[i] + deltas[i + 1]))
+            .min_by_key(|&(_, d)| d)?;
+        if (pair_delta as f64) < cfg.cold_fraction * total as f64 {
+            return Some(RebalanceAction::Merge(cold));
+        }
+    }
+    None
+}
+
 /// Run `task` on every item of a shard fan-out and collect the results in
 /// item order: at the same time when the items' summed `work` reaches the
 /// pool's sequential cutoff, else one after another on the caller's
@@ -1177,7 +1212,6 @@ fn intervals_with<R: Default + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RebalanceConfig;
     use gpu_sim::{Device, DeviceConfig};
 
     fn device() -> Arc<Device> {
@@ -1516,6 +1550,25 @@ mod tests {
     }
 
     #[test]
+    fn rebuild_read_tiles_the_shard_in_fence_balanced_spans() {
+        let lsm = sharded(256, 1);
+        let shard = lsm.shard(0);
+        for round in 0..12u32 {
+            let pairs: Vec<(u32, u32)> = (0..256)
+                .map(|i| ((i * 7 + round * 91) % 2000, round))
+                .collect();
+            shard.insert(&pairs).unwrap();
+            shard.delete(&[round * 13, round * 17 + 5]).unwrap();
+        }
+        let bounds = lsm.router().shard_bounds(0);
+        let visible = visible_pairs(&shard, bounds);
+        assert!(visible.num_queries() > 8, "{} spans", visible.num_queries());
+        let whole = shard.range(&[bounds]);
+        assert_eq!(visible.keys, whole.keys);
+        assert_eq!(visible.values, whole.values);
+    }
+
+    #[test]
     fn explicit_split_at_key_controls_the_boundary() {
         let lsm = sharded(4, 1);
         lsm.insert(&[(10, 1), (20, 2), (30, 3), (40, 4)]).unwrap();
@@ -1583,6 +1636,67 @@ mod tests {
         lsm.check_invariants().unwrap();
         // The data survived the splits.
         assert_eq!(lsm.count(&[(0, MAX_KEY)]), vec![8 * 16]);
+    }
+
+    #[test]
+    fn planner_decides_as_from_stats_update_ops() {
+        let cfg = RebalanceConfig {
+            enabled: false, // the test calls the planner itself
+            min_ops: 64,
+            hot_fraction: 0.6,
+            cold_fraction: 0.1,
+            max_shards: 8,
+            min_shards: 2,
+            check_interval: 1,
+        };
+        let lsm =
+            ShardedLsm::with_config(device(), 16, 4, LsmConfig::default().rebalance(cfg.clone()))
+                .unwrap();
+        // The reference planner: the same decision from each shard's
+        // `stats().update_ops` against the service's baselines.
+        let from_stats = |lsm: &ShardedLsm| {
+            let table = lsm.table_snapshot();
+            let baselines = lsm.rebalance.lock().baselines.clone();
+            let deltas: Vec<u64> = lsm
+                .stats()
+                .per_shard
+                .iter()
+                .zip(&table.ids)
+                .map(|(s, id)| s.update_ops - baselines.get(id).copied().unwrap_or(0))
+                .collect();
+            let total: u64 = deltas.iter().sum();
+            (total >= cfg.min_ops)
+                .then(|| rebalance_action(&cfg, &table.router, &deltas))
+                .flatten()
+        };
+        let insert_into = |shards: &[usize], batches: u32, base: u32| {
+            for i in 0..batches {
+                let s = shards[i as usize % shards.len()];
+                let pairs: Vec<(u32, u32)> = (0..16)
+                    .map(|j| (key_in(4, s, base + i * 16 + j), j))
+                    .collect();
+                lsm.insert(&pairs).unwrap();
+            }
+        };
+        let mut actions = Vec::new();
+        // Below `min_ops`, then all traffic in shard 0 (a split), then all
+        // of it in the upper three of the original shards, so the halves of
+        // shard 0 go cold (a merge).
+        for (shards, batches) in [(&[0][..], 2), (&[0][..], 6), (&[1, 2, 3][..], 9)] {
+            insert_into(shards, batches, 1000 * actions.len() as u32);
+            let expected = from_stats(&lsm);
+            let planned = lsm.plan_rebalance();
+            assert_eq!(planned, expected);
+            if let Some(action) = planned {
+                lsm.apply_rebalance(action).unwrap();
+                actions.push(action);
+            }
+        }
+        assert_eq!(
+            actions,
+            [RebalanceAction::Split(0), RebalanceAction::Merge(0)]
+        );
+        assert_eq!(lsm.stats().update_ops, 17 * 16);
     }
 
     #[test]

@@ -50,7 +50,8 @@ use crate::distributions::ZipfKeys;
 pub trait LsmBackend: Clone + Send + Sync + 'static {
     /// Short label for reports.
     fn label(&self) -> String;
-    /// Apply one mixed update batch (exclusive phase on the touched state).
+    /// Apply one mixed update batch: a query sees the touched state before
+    /// or after it, never part of it.
     /// Pipelined backends may only *admit* the batch here; `flush` is the
     /// completion barrier.
     fn apply(&self, batch: &UpdateBatch) -> gpu_lsm::Result<()>;
