@@ -28,6 +28,22 @@
 //! even the physical per-shard layout is byte-identical to synchronous
 //! [`crate::ShardedLsm::update`] calls.
 //!
+//! The fold makes one pass per batch over one map per window.  The map
+//! (a std `HashMap` sized by the window's op count) takes a key to its
+//! output slot and to the batch that last wrote that slot.  It hashes the
+//! key with one folded multiply, seeded once per layer, where SipHash
+//! would cost about as much as the apply itself; the seed is secret and
+//! the output never depends on it (slots follow op order), and a window
+//! whose keys all collided would still cost only O(b²).  A counting
+//! pre-pass claims the batch's unseen keys, so the cut at `b` distinct
+//! keys is decided before any slot changes; the deciding pass then writes
+//! slots — a batch's first op on a key overwrites an older batch's slot, a
+//! later deletion in the same batch overwrites it, a later insertion does
+//! not.  That is two map operations and no allocation per op, and the
+//! filled accumulator moves into the output batch uncopied.  The
+//! read-your-writes overlay folds the pending batches through the same
+//! pass without a cut, so the batch rules live in one function.
+//!
 //! ## Visibility
 //!
 //! The admitted view is eventually consistent: a query may miss batches
@@ -79,6 +95,10 @@
 //! [`LsmError::ApplierPanicked`] instead of hanging or cascading the
 //! panic, and dropping the last handle never double-panics (the join is
 //! skipped while unwinding and its result is checked, not unwrapped).
+//! The applier dies the same way, with the error as its payload, when its
+//! thread cannot be spawned or when the service rejects a batch admission
+//! validated (a broken invariant: the popped window can no longer apply,
+//! so no flush barrier over it could ever complete).
 //!
 //! ## Durability
 //!
@@ -90,14 +110,9 @@
 //! tail through this very admission path.  The default (no durability)
 //! leaves the write path byte-identical to the in-memory layer.
 
-// Five sites here can still panic, each until it is converted: the
-// applier thread's spawn (`build`), the durable state of a durable build
-// (`open_durable`), one applied answer per miss (`lookup_with`), the
-// injected-panic test hook (`applier_loop`) and a validated batch the
-// service rejects (`apply_window`).
-#![allow(clippy::expect_used, clippy::panic)]
-
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -362,8 +377,11 @@ struct Shared {
     drained: Condvar,
     /// Rebalance requesters wait here for their request's result.
     rebalanced: Condvar,
-    /// The applier's panic payload, set exactly once when it dies.
-    applier_panic: Mutex<Option<String>>,
+    /// Why the applier died (its panic payload, or the error that killed
+    /// it), set when it dies.
+    applier_died: Mutex<Option<String>>,
+    /// Keys of every coalescing fold's hash (see [`FoldHash`]).
+    fold_hash: FoldHash,
     /// Test hook: the applier panics at its next scheduling point.
     panic_injected: AtomicBool,
     /// Test hook: the applier sleeps this many milliseconds (lock
@@ -385,7 +403,7 @@ struct Shared {
 impl Shared {
     /// The typed error to report if the applier thread has died.
     fn applier_failure(&self) -> Option<LsmError> {
-        lock_ignore_poison(&self.applier_panic)
+        lock_ignore_poison(&self.applier_died)
             .as_ref()
             .map(|payload| LsmError::ApplierPanicked {
                 payload: payload.clone(),
@@ -393,17 +411,26 @@ impl Shared {
     }
 }
 
-/// Record the applier's panic payload and wake **every** waiter class:
-/// blocked submitters, flush barriers and rebalance requesters must
-/// observe the death instead of sleeping forever on a condvar nobody will
-/// signal again.
+/// Record the applier's panic payload (see [`record_applier_death`]).
+/// The caller must not hold the state lock.
 fn record_applier_panic(shared: &Shared, payload: &(dyn std::any::Any + Send)) {
     let message = payload
         .downcast_ref::<&'static str>()
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string());
-    *lock_ignore_poison(&shared.applier_panic) = Some(message);
+    record_applier_death(shared, &lock_ignore_poison(&shared.state), message);
+}
+
+/// Record why the applier died and wake **every** waiter class: blocked
+/// submitters, flush barriers and rebalance requesters must observe the
+/// death instead of sleeping forever on a condvar nobody will signal
+/// again.  `_state` is the caller's proof that it holds the state lock:
+/// every waiter checks [`Shared::applier_failure`] under that lock before
+/// it parks, so a death published under it cannot fall between the check
+/// and the park.
+fn record_applier_death(shared: &Shared, _state: &QueueState, cause: String) {
+    *lock_ignore_poison(&shared.applier_died) = Some(cause);
     shared.work.notify_all();
     shared.space.notify_all();
     shared.drained.notify_all();
@@ -535,7 +562,8 @@ impl AdmittedLsm {
             space: Condvar::new(),
             drained: Condvar::new(),
             rebalanced: Condvar::new(),
-            applier_panic: Mutex::new(None),
+            applier_died: Mutex::new(None),
+            fold_hash: FoldHash::random(),
             panic_injected: AtomicBool::new(false),
             stall_injected: AtomicU64::new(0),
             durability,
@@ -549,7 +577,7 @@ impl AdmittedLsm {
             rebalances: AtomicU64::new(0),
         });
         let applier_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("lsm-admission".into())
             .spawn(move || {
                 // Contain any applier panic: capture the payload, wake
@@ -560,12 +588,22 @@ impl AdmittedLsm {
                 if let Err(payload) = std::panic::catch_unwind(run) {
                     record_applier_panic(&applier_shared, payload.as_ref());
                 }
-            })
-            .expect("spawn admission applier");
+            });
+        // A layer whose applier never started is born dead: every `submit`
+        // and `flush` reports the spawn error instead of queueing work that
+        // nothing would apply.
+        let handle = match spawned {
+            Ok(handle) => Some(handle),
+            Err(e) => {
+                let cause = format!("spawn admission applier: {e}");
+                record_applier_death(&shared, &lock_ignore_poison(&shared.state), cause);
+                None
+            }
+        };
         AdmittedLsm {
             _lifecycle: Arc::new(Lifecycle {
                 shared: Arc::clone(&shared),
-                handle: Mutex::new(Some(handle)),
+                handle: Mutex::new(handle),
             }),
             shared,
         }
@@ -741,7 +779,11 @@ impl AdmittedLsm {
         // happens here (logging is still off), so the WAL keeps covering
         // the replayed records until the first post-recovery barrier.
         lsm.flush_with_deadline(None)?;
-        let durability = lsm.shared.durability.as_ref().expect("durable build");
+        let Some(durability) = lsm.shared.durability.as_ref() else {
+            return Err(LsmError::Durability {
+                context: "durable build lost its durability state".to_string(),
+            });
+        };
         if report.prior_degraded {
             // Recovery succeeded from the degraded generation's durable
             // prefix: this incarnation is healthy again.  A failed removal
@@ -1069,39 +1111,35 @@ impl AdmittedLsm {
         // Decide what the pending (queued + in-flight) ops say about each
         // query under one short lock; undecided keys fall through to the
         // applied state.  Each touched shard's pending batches are folded
-        // into one key → decision map in a single pass, so the lock is
-        // held for O(pending ops + queries), not their product.  Routing
-        // uses the mirrored router so the overlay matches the enqueue
-        // layout even across rebalances.
-        let overlay: Vec<Option<Option<Value>>> = {
+        // once, by the coalescer's own pass, so the lock is held for
+        // O(pending ops + queries), not their product.  Routing uses the
+        // mirrored router so the overlay matches the enqueue layout even
+        // across rebalances.
+        let mut answers: Vec<Option<Value>> = Vec::with_capacity(queries.len());
+        let mut misses: Vec<usize> = Vec::new();
+        let mut undecided: Vec<Key> = Vec::new();
+        {
             let state = lock_ignore_poison(&self.shared.state);
-            let mut maps: Vec<Option<HashMap<Key, Option<Value>>>> = vec![None; state.queues.len()];
-            queries
-                .iter()
-                .map(|&q| {
-                    let s = state.router.shard_of(q.min(MAX_KEY));
-                    maps[s]
-                        .get_or_insert_with(|| pending_decisions(&state, s))
-                        .get(&q)
-                        .copied()
-                })
-                .collect()
-        };
-        let undecided: Vec<Key> = queries
-            .iter()
-            .zip(&overlay)
-            .filter(|(_, o)| o.is_none())
-            .map(|(&q, _)| q)
-            .collect();
+            let mut folds: Vec<Option<Fold>> = (0..state.queues.len()).map(|_| None).collect();
+            for &q in queries {
+                let s = state.router.shard_of(q.min(MAX_KEY));
+                let fold =
+                    folds[s].get_or_insert_with(|| pending_fold(&state, s, self.shared.fold_hash));
+                match fold.decision(q) {
+                    Some(decided) => answers.push(decided),
+                    None => {
+                        misses.push(answers.len());
+                        undecided.push(q);
+                        answers.push(None);
+                    }
+                }
+            }
+        }
         let applied = resolve(&self.shared.service, &undecided);
-        let mut applied_iter = applied.into_iter();
-        overlay
-            .into_iter()
-            .map(|o| match o {
-                Some(decided) => decided,
-                None => applied_iter.next().expect("one applied answer per miss"),
-            })
-            .collect()
+        for (i, answer) in misses.into_iter().zip(applied) {
+            answers[i] = answer;
+        }
+        answers
     }
 
     /// Bulk count queries (read-your-writes mode drains first).
@@ -1394,26 +1432,16 @@ fn route_parts(router: &ShardRouter, batch: &UpdateBatch) -> VecDeque<(usize, Up
 }
 
 /// Fold shard `s`'s pending batches — in-flight first (older), then the
-/// queue oldest-to-newest — into one key → visible-outcome map: per batch
-/// any deletion of a key shadows its insertions (rule 6) else the first
-/// insertion wins (rule 4), and later batches overwrite earlier ones
-/// (newest batch decides).
-fn pending_decisions(state: &QueueState, s: usize) -> HashMap<Key, Option<Value>> {
-    let mut decisions = HashMap::new();
-    for batch in state.queues[s]
+/// queue oldest-to-newest — through the coalescer's pass without a cut,
+/// so [`Fold::decision`] answers with what applying them all would leave
+/// visible.
+fn pending_fold(state: &QueueState, s: usize, hash: FoldHash) -> Fold {
+    let queue = &state.queues[s];
+    let pending = queue
         .applying
         .iter()
-        .chain(state.queues[s].queue.iter().map(|q| &q.batch))
-    {
-        for op in resolve_batch(batch) {
-            let outcome = match op {
-                Op::Insert(_, v) => Some(v),
-                Op::Delete(_) => None,
-            };
-            decisions.insert(op.key(), outcome);
-        }
-    }
-    decisions
+        .chain(queue.queue.iter().map(|q| &q.batch));
+    Fold::over(pending, usize::MAX, hash)
 }
 
 /// The background applier: drain queues round-robin, coalesce, apply;
@@ -1429,8 +1457,18 @@ fn applier_loop(shared: &Arc<Shared>) {
         let (shard, window) = {
             let mut state = lock_ignore_poison(&shared.state);
             loop {
+                if shared.applier_failure().is_some() {
+                    // A rebalance's drain lost its window (see
+                    // `apply_window`); the requester has the error.
+                    return;
+                }
                 if shared.panic_injected.swap(false, Ordering::Relaxed) {
-                    panic!("injected applier panic (test hook)");
+                    // Test hook for the panic-safety tests, until a
+                    // deterministic simulation harness replaces it.
+                    #[allow(clippy::panic)]
+                    {
+                        panic!("injected applier panic (test hook)");
+                    }
                 }
                 let stall = shared.stall_injected.swap(0, Ordering::Relaxed);
                 if stall > 0 {
@@ -1478,7 +1516,15 @@ fn applier_loop(shared: &Arc<Shared>) {
         };
         shared.space.notify_all();
 
-        let taken = apply_window(shared, shard, window);
+        let taken = match apply_window(shared, shard, window) {
+            Ok(taken) => taken,
+            Err(cause) => {
+                // The window will never apply, so no barrier over it can
+                // complete: every caller must hear of the death.
+                record_applier_death(shared, &lock_ignore_poison(&shared.state), cause);
+                return;
+            }
+        };
 
         let mut state = lock_ignore_poison(&shared.state);
         state.queues[shard].applying.clear();
@@ -1505,7 +1551,20 @@ fn applier_loop(shared: &Arc<Shared>) {
 /// Coalesce (per config) and apply one popped window to `shard`, recording
 /// the queue-wait and apply-time histograms and the lifetime counters.
 /// Returns the number of batches consumed from the queue.
-fn apply_window(shared: &Shared, shard: usize, window: Vec<QueuedBatch>) -> usize {
+///
+/// # Errors
+///
+/// Why the applier must die, if the service rejects a batch.  Admission
+/// validated every sub-batch and coalescing keeps them non-empty and
+/// within `b`, so this is a broken invariant, not bad input: the window
+/// is lost, and the applier loop or the rebalance drain that called this
+/// records the death (see [`record_applier_death`]), so that no one waits
+/// on a barrier that can never complete.
+fn apply_window(
+    shared: &Shared,
+    shard: usize,
+    window: Vec<QueuedBatch>,
+) -> std::result::Result<usize, String> {
     // Queue-wait ends when the applier takes ownership of the window.
     let popped_at = Instant::now();
     let mut waits_ns: Vec<u64> = Vec::with_capacity(window.len());
@@ -1518,7 +1577,7 @@ fn apply_window(shared: &Shared, shard: usize, window: Vec<QueuedBatch>) -> usiz
 
     let taken = batches.len();
     let to_apply = if shared.config.coalesce {
-        coalesce_batches(&batches, shared.service.batch_size())
+        coalesce_batches(&batches, shared.service.batch_size(), shared.fold_hash)
     } else {
         batches // replay mode applies the popped batch as-is
     };
@@ -1527,14 +1586,12 @@ fn apply_window(shared: &Shared, shard: usize, window: Vec<QueuedBatch>) -> usiz
         .fetch_add((taken - to_apply.len()) as u64, Ordering::Relaxed);
     let mut applies_ns: Vec<u64> = Vec::with_capacity(to_apply.len());
     for part in &to_apply {
-        // Sub-batches were validated at submit time and coalescing keeps
-        // them non-empty and within `b`; the apply holds the service's
-        // table read lock so it cannot interleave with a table swap.
+        // The apply holds the service's table read lock so it cannot
+        // interleave with a table swap.
         let apply_start = Instant::now();
-        shared
-            .service
-            .apply_routed(shard, part)
-            .expect("validated admitted batch cannot be rejected");
+        if let Err(e) = shared.service.apply_routed(shard, part) {
+            return Err(format!("shard {shard} rejected a validated batch: {e}"));
+        }
         applies_ns.push(u64::try_from(apply_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         shared.applied_batches.fetch_add(1, Ordering::Relaxed);
         shared
@@ -1551,7 +1608,7 @@ fn apply_window(shared: &Shared, shard: usize, window: Vec<QueuedBatch>) -> usiz
             latency.apply.record(ns);
         }
     }
-    taken
+    Ok(taken)
 }
 
 /// Execute one rebalance handoff on the applier thread, with the queue
@@ -1581,14 +1638,22 @@ fn execute_rebalance(
         });
     }
     // Targeted drain: every batch admitted for the affected shards must be
-    // applied before the rebuild snapshots their contents.
+    // applied before the rebuild snapshots their contents.  A failed apply
+    // kills the applier (see `apply_window`), and the requester hears of
+    // the death, not of a rejected request.
     for &s in &affected {
         if state.queues[s].queue.is_empty() {
             continue;
         }
         let drained: Vec<QueuedBatch> = state.queues[s].queue.drain(..).collect();
         state.queued -= drained.len();
-        let taken = apply_window(shared, s, drained);
+        let taken = match apply_window(shared, s, drained) {
+            Ok(taken) => taken,
+            Err(cause) => {
+                record_applier_death(shared, state, cause.clone());
+                return Err(LsmError::ApplierPanicked { payload: cause });
+            }
+        };
         state.queues[s].applied_seq += taken as u64;
     }
     match cmd {
@@ -1632,65 +1697,212 @@ fn execute_rebalance(
 /// otherwise its first insertion wins), and a new output batch starts
 /// whenever the accumulated distinct keys would exceed `batch_size` —
 /// so each output batch is exactly equivalent to a contiguous sub-run.
-fn coalesce_batches(window: &[UpdateBatch], batch_size: usize) -> Vec<UpdateBatch> {
-    let mut out = Vec::new();
-    let mut acc: Vec<Op> = Vec::new();
-    let mut index: HashMap<Key, usize> = HashMap::new();
-    for batch in window {
-        let resolved = resolve_batch(batch);
-        let new_keys = resolved
-            .iter()
-            .filter(|op| !index.contains_key(&op.key()))
-            .count();
-        if !acc.is_empty() && acc.len() + new_keys > batch_size {
-            let mut flushed = UpdateBatch::with_capacity(acc.len());
-            for op in acc.drain(..) {
-                flushed.push(op);
-            }
-            index.clear();
-            out.push(flushed);
-        }
-        for op in resolved {
-            match index.entry(op.key()) {
-                std::collections::hash_map::Entry::Occupied(slot) => acc[*slot.get()] = op,
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(acc.len());
-                    acc.push(op);
-                }
-            }
-        }
-    }
-    if !acc.is_empty() {
-        let mut flushed = UpdateBatch::with_capacity(acc.len());
-        for op in acc {
-            flushed.push(op);
-        }
-        out.push(flushed);
-    }
-    out
+/// `hash` keys the fold's map; the output does not depend on it.
+fn coalesce_batches(window: &[UpdateBatch], batch_size: usize, hash: FoldHash) -> Vec<UpdateBatch> {
+    Fold::over(window, batch_size, hash).finish()
 }
 
-/// One batch reduced to a single op per key, per the batch semantics: any
-/// deletion of a key shadows the batch's insertions of it (rule 6), among
-/// insertions the first wins (rule 4).  Op order follows first appearance,
-/// keeping the reduction deterministic.
-fn resolve_batch(batch: &UpdateBatch) -> Vec<Op> {
-    let mut order: Vec<Key> = Vec::with_capacity(batch.len());
-    let mut decision: HashMap<Key, Op> = HashMap::with_capacity(batch.len());
-    for op in batch.ops() {
-        match decision.entry(op.key()) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                order.push(op.key());
-                slot.insert(*op);
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                if matches!(op, Op::Delete(_)) {
-                    slot.insert(Op::Delete(op.key()));
+/// A claimed slot's `batch` until the deciding pass of the batch that
+/// claimed it writes the slot.
+const UNWRITTEN: u32 = u32::MAX;
+
+/// Odd multiplier of [`FoldHasher`] (the golden ratio's 64-bit fraction).
+/// A fixed constant, not a random one: some random odd multipliers pile
+/// strided keys up (`i << 11` at half load read a mean linear probe of 84
+/// entries under one), which this one does not.
+const FOLD_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The seed of a [`FoldHasher`], drawn once per layer.
+#[derive(Debug, Clone, Copy)]
+struct FoldHash {
+    seed: u64,
+}
+
+impl FoldHash {
+    /// A fresh seed from std's randomly keyed `RandomState`.
+    fn random() -> Self {
+        FoldHash {
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for FoldHash {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { hash: self.seed }
+    }
+}
+
+/// A folded-multiply hasher: each word is xor-ed into the state, which is
+/// multiplied by [`FOLD_MULTIPLIER`] into 128 bits and folded back by
+/// xor-ing the product's two halves.  The high half carries every key bit
+/// into the low bits that pick a bucket, so keys that differ only in their
+/// high bits (`slot << 7`, say) still spread, at one multiply per 31-bit
+/// key instead of SipHash's rounds.
+///
+/// This is not a keyed pseudo-random function.  It resists chosen keys
+/// because the seed is secret and per layer and the fold's output never
+/// reveals it (slots follow op order, not hash order), so a client cannot
+/// test which keys collide.  The worst case is bounded all the same: the
+/// map only ever holds one window's keys, so a window whose keys all
+/// collided would cost O((2b)²) probes instead of O(b).
+#[derive(Debug)]
+struct FoldHasher {
+    hash: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.hash ^ word) * u128::from(FOLD_MULTIPLIER);
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+/// A key's entry in a [`Fold`]'s map.  `u32` holds both indices: a slot
+/// indexes distinct 31-bit keys, and a fold spans one window or one shard's
+/// pending queue, far below `u32::MAX` batches.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Index of the key's op in the output batch being filled.
+    slot: u32,
+    /// Index, within the fold, of the batch that last wrote the slot.
+    batch: u32,
+}
+
+/// A run of one shard's adjacent batches folded into visibly equivalent
+/// batches (see [`coalesce_batches`]), one pass per batch over one map.
+#[derive(Debug)]
+struct Fold {
+    map: HashMap<Key, Slot, FoldHash>,
+    /// The output batch being filled: one op per distinct key, in order of
+    /// first appearance.
+    acc: Vec<Op>,
+    /// Output batches already cut.
+    out: Vec<UpdateBatch>,
+    /// Most distinct keys an output batch takes (`usize::MAX`: no cut).
+    limit: usize,
+    /// Batches folded so far.
+    batches: u32,
+}
+
+impl Fold {
+    /// Fold `batches`, oldest first, cutting an output batch before it
+    /// would exceed `limit` distinct keys.
+    fn over<'a, I>(batches: I, limit: usize, hash: FoldHash) -> Fold
+    where
+        I: IntoIterator<Item = &'a UpdateBatch>,
+        I::IntoIter: Clone,
+    {
+        let batches = batches.into_iter();
+        let (ops, longest) = batches.clone().fold((0, 0), |(ops, longest), b| {
+            (ops + b.len(), longest.max(b.len()))
+        });
+        // The map holds the accumulator's keys plus one batch's at most.
+        let keys = ops.min(limit.max(longest).saturating_add(longest));
+        let mut fold = Fold {
+            map: HashMap::with_capacity_and_hasher(keys, hash),
+            acc: Vec::with_capacity(ops.min(limit)),
+            out: Vec::new(),
+            limit,
+            batches: 0,
+        };
+        for batch in batches {
+            fold.push(batch.ops());
+        }
+        fold
+    }
+
+    /// Fold one batch in: the counting pre-pass decides the cut, then the
+    /// deciding pass writes its ops' slots.
+    fn push(&mut self, ops: &[Op]) {
+        let batch = self.batches;
+        self.batches += 1;
+        let fresh = self.claim_new_keys(ops);
+        if !self.acc.is_empty() && self.acc.len() + fresh > self.limit {
+            let capacity = self.acc.capacity();
+            let full = std::mem::replace(&mut self.acc, Vec::with_capacity(capacity));
+            self.out.push(UpdateBatch::from_ops(full));
+            self.map.clear();
+            self.claim_new_keys(ops);
+        }
+        for &op in ops {
+            // The pre-pass claimed every key, so this only looks it up.
+            let entry = self.map.entry(op.key()).or_insert(Slot {
+                slot: self.acc.len() as u32,
+                batch: UNWRITTEN,
+            });
+            let slot = entry.slot as usize;
+            if entry.batch != batch {
+                // The batch's first op on the key replaces whatever an
+                // older batch left there (rule 3: the newest batch wins).
+                entry.batch = batch;
+                if slot == self.acc.len() {
+                    self.acc.push(op);
+                } else {
+                    self.acc[slot] = op;
                 }
+            } else if let Op::Delete(_) = op {
+                // Within one batch a deletion shadows the insertions
+                // (rule 6), and the first insertion wins over later ones
+                // (rule 4), which therefore write nothing.
+                self.acc[slot] = op;
             }
         }
     }
-    order.into_iter().map(|k| decision[&k]).collect()
+
+    /// The counting pre-pass: claim the keys of `ops` the map has not
+    /// seen, each with the next free slot in order of first appearance,
+    /// and return how many there were.
+    fn claim_new_keys(&mut self, ops: &[Op]) -> usize {
+        let mut fresh = 0;
+        for op in ops {
+            if let Entry::Vacant(vacant) = self.map.entry(op.key()) {
+                vacant.insert(Slot {
+                    slot: (self.acc.len() + fresh) as u32,
+                    batch: UNWRITTEN,
+                });
+                fresh += 1;
+            }
+        }
+        fresh
+    }
+
+    /// What applying every folded batch leaves visible for `key`:
+    /// `Some(Some(v))` inserted, `Some(None)` deleted, `None` untouched.
+    /// Complete only for a fold without a cut, whose every key is still
+    /// in the map.
+    fn decision(&self, key: Key) -> Option<Option<Value>> {
+        self.map
+            .get(&key)
+            .map(|entry| match self.acc[entry.slot as usize] {
+                Op::Insert(_, v) => Some(v),
+                Op::Delete(_) => None,
+            })
+    }
+
+    /// The output batches, the one being filled last.
+    fn finish(mut self) -> Vec<UpdateBatch> {
+        if !self.acc.is_empty() {
+            self.out.push(UpdateBatch::from_ops(self.acc));
+        }
+        self.out
+    }
 }
 
 #[cfg(test)]
@@ -1806,7 +2018,7 @@ mod tests {
         b1.insert(1, 10).insert(2, 20).delete(3);
         let mut b2 = UpdateBatch::new();
         b2.insert(3, 30).delete(1).insert(4, 40);
-        let out = coalesce_batches(&[b1.clone(), b2.clone()], 8);
+        let out = coalesce_batches(&[b1.clone(), b2.clone()], 8, FoldHash::random());
         assert_eq!(out.len(), 1);
         let ops = out[0].ops();
         // Last batch wins per key: 1 deleted, 3 re-inserted; 2 and 4 kept.
@@ -1816,7 +2028,7 @@ mod tests {
         assert!(ops.contains(&Op::Insert(4, 40)));
         assert_eq!(ops.len(), 4);
         // A tight capacity splits instead of overflowing.
-        let out = coalesce_batches(&[b1, b2], 3);
+        let out = coalesce_batches(&[b1, b2], 3, FoldHash::random());
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|b| b.len() <= 3));
     }
@@ -1830,8 +2042,221 @@ mod tests {
             .delete(8)
             .insert(8, 3)
             .delete(7);
-        let resolved = resolve_batch(&batch);
-        assert_eq!(resolved, vec![Op::Delete(7), Op::Delete(8)]);
+        let resolved = vec![Op::Delete(7), Op::Delete(8)];
+        assert_eq!(resolve_batch(&batch), resolved);
+        assert_eq!(
+            coalesce_batches(std::slice::from_ref(&batch), 8, FoldHash::random()),
+            vec![UpdateBatch::from_ops(resolved)]
+        );
+        // The read-your-writes overlay reads the same decisions.
+        let fold = Fold::over([&batch], usize::MAX, FoldHash::random());
+        assert_eq!(fold.decision(7), Some(None));
+        assert_eq!(fold.decision(8), Some(None));
+        assert_eq!(fold.decision(9), None);
+        assert_eq!(fold.decision(Key::MAX), None);
+    }
+
+    /// The coalescer before the one-pass fold, kept as its reference: each
+    /// batch resolved into one op per key through a hash map, then folded
+    /// into the accumulator through a second one.
+    fn reference_coalesce(window: &[UpdateBatch], batch_size: usize) -> Vec<UpdateBatch> {
+        let mut out = Vec::new();
+        let mut acc: Vec<Op> = Vec::new();
+        let mut index: HashMap<Key, usize> = HashMap::new();
+        for batch in window {
+            let resolved = resolve_batch(batch);
+            let new_keys = resolved
+                .iter()
+                .filter(|op| !index.contains_key(&op.key()))
+                .count();
+            if !acc.is_empty() && acc.len() + new_keys > batch_size {
+                out.push(UpdateBatch::from_ops(std::mem::take(&mut acc)));
+                index.clear();
+            }
+            for op in resolved {
+                match index.entry(op.key()) {
+                    std::collections::hash_map::Entry::Occupied(slot) => acc[*slot.get()] = op,
+                    std::collections::hash_map::Entry::Vacant(slot) => {
+                        slot.insert(acc.len());
+                        acc.push(op);
+                    }
+                }
+            }
+        }
+        if !acc.is_empty() {
+            out.push(UpdateBatch::from_ops(acc));
+        }
+        out
+    }
+
+    /// One batch reduced to a single op per key, in order of first
+    /// appearance: any deletion of a key shadows the batch's insertions of
+    /// it (rule 6), among insertions the first wins (rule 4).
+    fn resolve_batch(batch: &UpdateBatch) -> Vec<Op> {
+        let mut order: Vec<Key> = Vec::with_capacity(batch.len());
+        let mut decision: HashMap<Key, Op> = HashMap::with_capacity(batch.len());
+        for op in batch.ops() {
+            match decision.entry(op.key()) {
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    order.push(op.key());
+                    slot.insert(*op);
+                }
+                std::collections::hash_map::Entry::Occupied(mut slot) => {
+                    if matches!(op, Op::Delete(_)) {
+                        slot.insert(Op::Delete(op.key()));
+                    }
+                }
+            }
+        }
+        order.into_iter().map(|k| decision[&k]).collect()
+    }
+
+    /// A hash seed drawn from a test's seeded generator.
+    fn fold_keys(rng: &mut rand::rngs::StdRng) -> FoldHash {
+        use rand::Rng;
+        FoldHash { seed: rng.gen() }
+    }
+
+    #[test]
+    fn coalesce_batches_matches_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xC0A1_E5CE);
+        for round in 0..3000usize {
+            let b = [1usize, 2, 3, 5, 8, 64][round % 6];
+            // A narrow domain, so keys repeat within and across batches;
+            // shifted, the keys differ only in their high bits.
+            let domain = rng.gen_range(1..=(4 * b).min(256) as u32);
+            let shift = [0u32, 7, 11, 23][rng.gen_range(0..4usize)];
+            let window: Vec<UpdateBatch> = (0..rng.gen_range(1..=16usize))
+                .map(|_| {
+                    let mut batch = UpdateBatch::new();
+                    for _ in 0..rng.gen_range(1..=b) {
+                        let key = rng.gen_range(0..domain) << shift;
+                        if rng.gen_bool(0.3) {
+                            batch.delete(key);
+                        } else {
+                            batch.insert(key, rng.gen());
+                        }
+                    }
+                    batch
+                })
+                .collect();
+            assert_eq!(
+                coalesce_batches(&window, b, fold_keys(&mut rng)),
+                reference_coalesce(&window, b),
+                "round {round}: b {b}, window {window:?}"
+            );
+        }
+
+        // Exactly `b` distinct keys stay one batch even when the second
+        // batch repeats its new keys; one more new key splits.
+        let b = 8;
+        let mut first = UpdateBatch::new();
+        for k in 0..4 {
+            first.insert(k << 27, k);
+        }
+        let mut second = UpdateBatch::new();
+        for k in 4..8 {
+            second.insert(k << 27, k).delete(k << 27);
+        }
+        let window = [first.clone(), second.clone()];
+        let out = coalesce_batches(&window, b, FoldHash::random());
+        assert_eq!(out, reference_coalesce(&window, b));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].len(), b);
+        second.insert(8 << 27, 8);
+        let window = [first, second];
+        let out = coalesce_batches(&window, b, FoldHash::random());
+        assert_eq!(out, reference_coalesce(&window, b));
+        assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn fold_hash_spreads_strided_keys() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // 2b keys for b = 4096 in patterns a hash that keeps the low bits
+        // would pile up: strides of high bits (the benchmark's keys are
+        // `slot << 7..11`), multiples of the table size, and multiples of
+        // the golden ratio.  Each set goes into a linear-probing table kept
+        // at most half full, under several seeds; a random hash would read a
+        // mean probe of 1.5.
+        let n: Key = 8192;
+        let sets: Vec<Vec<Key>> = vec![
+            (0..n).collect(),
+            (0..n).map(|i| i << 7).collect(),
+            (0..n).map(|i| i << 11).collect(),
+            (0..n).map(|i| i << 14).collect(),
+            (0..n).map(|i| i << 18).collect(),
+            (0..n)
+                .map(|i| i.wrapping_mul(0x9E37_79B9) & MAX_KEY)
+                .collect(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xF01D_4A54);
+        for round in 0..8 {
+            let hash = fold_keys(&mut rng);
+            for (set, keys) in sets.iter().enumerate() {
+                let mask = (2 * keys.len()).next_power_of_two() - 1;
+                let mut taken = vec![false; mask + 1];
+                let (mut probes, mut longest) = (0usize, 0usize);
+                for &key in keys {
+                    let mut i = hash.hash_one(key) as usize & mask;
+                    let mut run = 1;
+                    while taken[i] {
+                        i = (i + 1) & mask;
+                        run += 1;
+                    }
+                    taken[i] = true;
+                    probes += run;
+                    longest = longest.max(run);
+                }
+                let mean = probes as f64 / keys.len() as f64;
+                assert!(
+                    mean <= 3.0 && longest <= 64,
+                    "round {round}, set {set}: mean probe {mean}, longest {longest}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_window_stops_the_applier_with_a_typed_error() {
+        let lsm = admitted(4, 2, config(true, false));
+        // Park the applier, queue a sub-batch for shard 1, then take shard
+        // 1 away behind the layer's back: the validated sub-batch can no
+        // longer apply.
+        lsm.inject_applier_stall(500);
+        lsm.insert(&[(1 << 30, 1)]).unwrap();
+        lsm.service().merge_shards(0).unwrap();
+        let err = lsm.flush().unwrap_err();
+        assert!(
+            matches!(&err, LsmError::ApplierPanicked { payload } if payload.contains("rejected a validated batch")),
+            "{err}"
+        );
+        assert!(matches!(
+            lsm.insert(&[(1, 1)]),
+            Err(LsmError::ApplierPanicked { .. })
+        ));
+    }
+
+    #[test]
+    fn rejected_rebalance_drain_reaches_the_requester() {
+        let lsm = admitted(4, 2, config(true, false));
+        lsm.inject_applier_stall(500);
+        lsm.insert(&[(1 << 30, 1)]).unwrap();
+        lsm.service().merge_shards(0).unwrap();
+        // The split drains shard 1's queue first; its failed apply kills
+        // the applier, and the requester hears of the lost window, not of
+        // a rejected request.
+        let err = lsm.trigger_split(1).unwrap_err();
+        assert!(
+            matches!(&err, LsmError::ApplierPanicked { payload } if payload.contains("rejected a validated batch")),
+            "{err}"
+        );
+        assert!(matches!(lsm.flush(), Err(LsmError::ApplierPanicked { .. })));
     }
 
     #[test]

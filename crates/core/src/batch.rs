@@ -98,6 +98,12 @@ impl UpdateBatch {
         &self.ops
     }
 
+    /// Take `ops` as a batch as they are, without copying them (the
+    /// admission coalescer moves its accumulator into its output this way).
+    pub(crate) fn from_ops(ops: Vec<Op>) -> Self {
+        UpdateBatch { ops }
+    }
+
     /// Build a batch of insertions from key–value pairs.
     pub fn from_pairs(pairs: &[(Key, Value)]) -> Self {
         UpdateBatch {

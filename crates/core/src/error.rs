@@ -48,12 +48,15 @@ pub enum LsmError {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// The admission applier thread has died from a panic; the queues it
-    /// was draining will never be applied.  Every later `submit` / `flush`
-    /// on the same [`crate::AdmittedLsm`] reports this instead of hanging
-    /// or cascading the panic.
+    /// The admission applier thread has died — from a panic, from a
+    /// spawn failure, or because the service rejected a batch admission had
+    /// validated; the queues it was draining will never be applied.  Every
+    /// later `submit` / `flush` on the same [`crate::AdmittedLsm`], and a
+    /// split or merge whose queue drain lost a batch, reports this instead
+    /// of hanging or cascading the panic.
     ApplierPanicked {
-        /// The applier's panic payload (its message when it was a string).
+        /// Why the applier died: its panic payload (the message when it was
+        /// a string), or the error that killed it.
         payload: String,
     },
     /// An `LSM_*` environment variable was set to a value that does not
@@ -123,7 +126,7 @@ impl fmt::Display for LsmError {
                 write!(f, "invalid shard rebalance request: {reason}")
             }
             LsmError::ApplierPanicked { payload } => {
-                write!(f, "admission applier thread panicked: {payload}")
+                write!(f, "admission applier thread died: {payload}")
             }
             LsmError::InvalidEnvValue { var, value, reason } => {
                 write!(f, "invalid value {value:?} for environment variable {var}: {reason}")

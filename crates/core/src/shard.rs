@@ -1298,6 +1298,60 @@ mod tests {
     }
 
     #[test]
+    fn spans_in_one_shard_match_the_model() {
+        let lsm = sharded(16, 4);
+        let mut model = std::collections::BTreeMap::new();
+        for round in 0..6u32 {
+            // Sixteen distinct keys per batch, four per shard.
+            let mut batch = UpdateBatch::new();
+            for i in 0..16u32 {
+                let k = key_in(4, (i % 4) as usize, (round * 7 + i * 3) % 64);
+                if round % 3 == 2 && i % 5 == 0 {
+                    batch.delete(k);
+                    model.remove(&k);
+                } else {
+                    batch.insert(k, round * 100 + i);
+                    model.insert(k, round * 100 + i);
+                }
+            }
+            lsm.update(&batch).unwrap();
+        }
+        let expect = |spans: &[(u32, u32)]| {
+            let mut out = RangeResult {
+                offsets: vec![0],
+                ..RangeResult::default()
+            };
+            for &(k1, k2) in spans {
+                if k1 <= k2 {
+                    for (&k, &v) in model.range(k1..=k2) {
+                        out.keys.push(k);
+                        out.values.push(v);
+                    }
+                }
+                out.offsets.push(out.keys.len());
+            }
+            out
+        };
+        // Every span inside shard 2, one sub-query each.
+        let lo = key_in(4, 2, 0);
+        let inside = [
+            (lo, lo + 63),
+            (lo + 5, lo + 20),
+            (lo + 30, lo + 30),
+            (lo, lo),
+        ];
+        assert!(!expect(&inside).keys.is_empty());
+        assert_eq!(lsm.range(&inside), expect(&inside));
+        // An inverted span, and one crossing into shard 3.
+        let mixed = [
+            (lo + 5, lo + 20),
+            (lo + 20, lo + 5),
+            (lo + 40, key_in(4, 3, 40)),
+        ];
+        assert_eq!(lsm.range(&mixed), expect(&mixed));
+    }
+
+    #[test]
     fn single_shard_matches_plain_lsm_byte_for_byte() {
         let sharded = sharded(8, 1);
         let mut plain = GpuLsm::new(device(), 8).unwrap();

@@ -73,6 +73,36 @@ fn arb_batch(batch_size: usize) -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
+/// A mixed batch over the same narrow domain whose keys repeat *within*
+/// the batch: about one op in four re-targets the key of an earlier op, so
+/// the batch carries rule-4 (the first insertion wins) and rule-6 (a
+/// deletion wins) cases that the coalescer must resolve like the
+/// synchronous batch sort.
+fn arb_batch_with_repeats(batch_size: usize) -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        (0..KEY_DOMAIN / 16, any::<u8>(), any::<bool>(), any::<u32>()),
+        1..=batch_size,
+    )
+    .prop_map(|draws| {
+        let mut keys: Vec<u32> = Vec::with_capacity(draws.len());
+        draws
+            .into_iter()
+            .map(|(fresh, pick, is_delete, v)| {
+                let key = match keys.len() {
+                    n if n > 0 && pick < 64 => keys[v as usize % n],
+                    _ => fresh,
+                };
+                keys.push(key);
+                if is_delete {
+                    Op::Delete(key)
+                } else {
+                    Op::Insert(key, v)
+                }
+            })
+            .collect()
+    })
+}
+
 fn run_differential(batch_seqs: &[Vec<Op>], shards: usize, coalesce: bool) {
     let batch_size = 64usize;
     let sync = ShardedLsm::new(device(), batch_size, shards).unwrap();
@@ -116,7 +146,7 @@ proptest! {
 
     #[test]
     fn prop_coalesced_admission_matches_synchronous(
-        batch_seqs in proptest::collection::vec(arb_batch(64), 4..16)
+        batch_seqs in proptest::collection::vec(arb_batch_with_repeats(64), 4..16)
     ) {
         for shards in [1usize, 4] {
             run_differential(&batch_seqs, shards, true);
@@ -136,7 +166,7 @@ proptest! {
     /// *without* the test issuing any flush.
     #[test]
     fn prop_read_your_writes_needs_no_flush(
-        batch_seqs in proptest::collection::vec(arb_batch(32), 2..8)
+        batch_seqs in proptest::collection::vec(arb_batch_with_repeats(32), 2..8)
     ) {
         let sync = ShardedLsm::new(device(), 32, 2).unwrap();
         let admitted = AdmittedLsm::with_config(
