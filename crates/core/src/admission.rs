@@ -104,17 +104,24 @@
 //!
 //! Built through [`AdmittedLsm::open_durable`], the layer logs every
 //! submitted batch to a write-ahead log *before* enqueueing it (same lock,
-//! so log order equals admission order), writes crash-consistent snapshots
-//! (manifest + immutable run files, see [`crate::wal`]) at quiescent flush
-//! barriers and after rebalance epoch bumps, and on open replays the WAL
-//! tail through this very admission path.  The default (no durability)
-//! leaves the write path byte-identical to the in-memory layer.
+//! so log order equals admission order), and on open replays the WAL tail
+//! through this very admission path, one record at a time.  A flush
+//! barrier is a drain plus a WAL sync, whether or not other clients' work
+//! is still queued.  A crash-consistent **checkpoint** (manifest +
+//! immutable run files, see [`crate::wal`]) follows at an idle barrier
+//! only once the log since the newest manifest has reached the bytes of
+//! the run files that manifest references, and after every rebalance
+//! epoch bump.  So the log after a barrier that skipped the checkpoint is
+//! smaller than the last manifest's runs, checkpoints write about one byte
+//! per logged byte, and a replay can span many barriers.  The default (no
+//! durability) leaves the write path byte-identical to the in-memory
+//! layer.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::batch::{Op, UpdateBatch};
@@ -311,8 +318,8 @@ enum RebalanceCmd {
     Plan,
 }
 
-/// Durability plumbing of one admitted service (present only when built
-/// through [`AdmittedLsm::open_durable`]).
+/// Durability plumbing of one admitted service (attached only by
+/// [`AdmittedLsm::open_durable`], once its replay is done).
 #[derive(Debug)]
 struct DurabilityState {
     config: wal::DurabilityConfig,
@@ -321,9 +328,13 @@ struct DurabilityState {
     /// The active WAL segment.  Locked after `state` (append happens under
     /// the state lock so log order equals admission order), never before.
     wal: Mutex<Wal>,
-    /// Records appended to the active segment since the last snapshot —
-    /// the "anything to persist?" signal for flush barriers.
-    records_since_snapshot: AtomicU64,
+    /// WAL bytes logged since the newest manifest, over every segment
+    /// since it (replayed ones included, and two after a snapshot that
+    /// failed once it had rotated the log); reset only when a manifest is
+    /// published.  A snapshot is due once it reaches `covered_bytes`.
+    /// Both counters are read and written only under the queue state
+    /// lock, which orders them, so `Relaxed` suffices.
+    log_bytes: AtomicU64,
     /// Routing epoch captured by the last snapshot; a mismatch forces a
     /// snapshot even without new records (a split/merge changed the
     /// persistent layout).
@@ -345,6 +356,8 @@ struct DurabilityState {
     /// `(shard, level)` slot still holds a level with that id.  Locked
     /// after `state`, like `wal`.
     prev_runs: Mutex<RunMap>,
+    /// Bytes of the run files in `prev_runs` (0 without a manifest).
+    covered_bytes: AtomicU64,
     /// Runs carried over unchanged instead of rewritten.
     runs_reused: AtomicU64,
     /// Garbage-collection removals that failed (surfaced, not swallowed).
@@ -353,11 +366,6 @@ struct DurabilityState {
     /// persistent IO failure sealed the WAL; the pipeline keeps admitting
     /// in-memory and skips all further logging and snapshots.
     degraded: AtomicBool,
-    /// Off while recovery replays the log through `submit` (the replayed
-    /// records are already durable; re-logging would duplicate them) —
-    /// also gates snapshots, so a mid-replay flush cannot rotate away
-    /// records that are still being replayed.
-    logging: AtomicBool,
 }
 
 /// Everything the submitters, the applier and the queries share.
@@ -388,8 +396,11 @@ struct Shared {
     /// released) at its next scheduling point, consuming the value —
     /// deterministic backpressure for the deadline tests.
     stall_injected: AtomicU64,
-    /// WAL + snapshot machinery; `None` for in-memory layers.
-    durability: Option<DurabilityState>,
+    /// WAL + snapshot machinery; never set for in-memory layers, and set
+    /// by [`AdmittedLsm::open_durable`] only after its replay, so a
+    /// replayed record is not logged again and no barrier rotates away a
+    /// segment still being replayed.
+    durability: OnceLock<DurabilityState>,
     submitted_batches: AtomicU64,
     submitted_ops: AtomicU64,
     enqueued_sub_batches: AtomicU64,
@@ -528,18 +539,10 @@ impl AdmittedLsm {
         Self::with_config(service, config)
     }
 
-    /// Wrap `service` with an explicit admission configuration.
+    /// Wrap `service` with an explicit admission configuration: wire up
+    /// the queue state and spawn the applier behind a panic-capturing
+    /// wrapper.
     pub fn with_config(service: ShardedLsm, config: AdmissionConfig) -> Self {
-        Self::build(service, config, None)
-    }
-
-    /// Shared constructor body: wire up the queue state and spawn the
-    /// applier behind a panic-capturing wrapper.
-    fn build(
-        service: ShardedLsm,
-        config: AdmissionConfig,
-        durability: Option<DurabilityState>,
-    ) -> Self {
         let table = service.table_snapshot();
         let shared = Arc::new(Shared {
             config,
@@ -566,7 +569,7 @@ impl AdmittedLsm {
             fold_hash: FoldHash::random(),
             panic_injected: AtomicBool::new(false),
             stall_injected: AtomicU64::new(0),
-            durability,
+            durability: OnceLock::new(),
             submitted_batches: AtomicU64::new(0),
             submitted_ops: AtomicU64::new(0),
             enqueued_sub_batches: AtomicU64::new(0),
@@ -617,11 +620,12 @@ impl AdmittedLsm {
     /// fully validates is loaded (corrupt newer ones are skipped and
     /// counted), the shards are rebuilt element-identical from its run
     /// files, and every WAL record of that generation and later is
-    /// replayed **through the normal admission path** in log order — a
-    /// torn or corrupt tail ends the replay and is physically truncated,
-    /// never applied.  `num_shards` only applies to a fresh directory; a
-    /// recovered service keeps the sharding (and routing epoch) of its
-    /// manifest.
+    /// replayed **through the normal admission path** in log order, one
+    /// record at a time — a torn or corrupt tail ends the replay and is
+    /// physically truncated, never applied.  That replay spans every flush
+    /// barrier since the manifest.  `num_shards` only applies to a fresh
+    /// directory; a recovered service keeps the sharding (and routing
+    /// epoch) of its manifest.
     ///
     /// Returns the recovered handle plus a [`RecoveryReport`] describing
     /// what was found.  On return the service is fully caught up (the
@@ -710,19 +714,33 @@ impl AdmittedLsm {
                 }
             };
 
-        // Gather the WAL tail: every segment of the restored generation
-        // and later, ascending.  (Generations older than the manifest
-        // linger only when a crash interrupted garbage collection —
-        // replaying them over the snapshot is idempotent, because per key
-        // the last record wins and the snapshot already agrees with it.)
-        let mut replay: Vec<UpdateBatch> = Vec::new();
+        // Replay the WAL tail before durability is attached: every segment
+        // of the restored generation and later, ascending, one record at
+        // a time.  (Generations older than the manifest linger only when
+        // a crash interrupted garbage collection — replaying them over the
+        // snapshot is idempotent, because per key the last record wins and
+        // the snapshot already agrees with it.)
+        let covered_bytes = wal::run_bytes(&base_runs);
+        let lsm = Self::new(service);
+        let mut log_bytes = 0;
         let mut active: Option<(u64, u64)> = None;
         for (seq, path) in wal::list_segments(&vfs, &dcfg.dir, base_seq)? {
-            let scan = wal::scan_segment(&vfs, &path)?;
-            report.torn_bytes += scan.torn_bytes;
-            replay.extend(scan.records);
-            active = Some((seq, scan.valid_len));
+            let (valid_len, torn_bytes) = wal::replay_segment(&vfs, &path, |batch, _| {
+                // Replay ignores the configured deadlines: recovery must
+                // not shed its own log.
+                lsm.submit_with_deadline(&batch, None)?;
+                report.replayed_batches += 1;
+                Ok(())
+            })?;
+            report.torn_bytes += torn_bytes;
+            log_bytes += valid_len;
+            active = Some((seq, valid_len));
         }
+        // Drain the replay before acknowledging recovery.  This barrier
+        // neither syncs nor snapshots (durability is not attached yet), so
+        // the WAL keeps covering the replayed records until a barrier's
+        // trigger says otherwise.
+        lsm.flush_with_deadline(None)?;
         // Resume appending to the newest segment (discarding its torn tail
         // for good), or start this generation's first segment.
         let (wal_writer, active_seq) = match active {
@@ -746,13 +764,11 @@ impl AdmittedLsm {
                 base_seq,
             ),
         };
-
-        let admission = service.config().admission();
         let durability = DurabilityState {
-            vfs: Arc::clone(&vfs),
+            vfs,
             config: dcfg,
             wal: Mutex::new(wal_writer),
-            records_since_snapshot: AtomicU64::new(0),
+            log_bytes: AtomicU64::new(log_bytes),
             snapshot_epoch: AtomicU64::new(base_epoch),
             // The next snapshot must outnumber every existing segment, not
             // just the restored manifest (a corrupt newer manifest leaves
@@ -763,26 +779,10 @@ impl AdmittedLsm {
             retired_syncs: AtomicU64::new(0),
             retired_retries: AtomicU64::new(0),
             prev_runs: Mutex::new(base_runs),
+            covered_bytes: AtomicU64::new(covered_bytes),
             runs_reused: AtomicU64::new(0),
             gc_failures: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
-            logging: AtomicBool::new(false),
-        };
-        let lsm = Self::build(service, admission, Some(durability));
-        for batch in &replay {
-            // Replay ignores the configured deadlines: recovery must not
-            // shed its own log.
-            lsm.submit_with_deadline(batch, None)?;
-            report.replayed_batches += 1;
-        }
-        // Drain the replay before acknowledging recovery.  No snapshot
-        // happens here (logging is still off), so the WAL keeps covering
-        // the replayed records until the first post-recovery barrier.
-        lsm.flush_with_deadline(None)?;
-        let Some(durability) = lsm.shared.durability.as_ref() else {
-            return Err(LsmError::Durability {
-                context: "durable build lost its durability state".to_string(),
-            });
         };
         if report.prior_degraded {
             // Recovery succeeded from the degraded generation's durable
@@ -796,7 +796,11 @@ impl AdmittedLsm {
                 durability.gc_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
-        durability.logging.store(true, Ordering::Relaxed);
+        if lsm.shared.durability.set(durability).is_err() {
+            return Err(LsmError::Durability {
+                context: "durability attached twice to one admission layer".to_string(),
+            });
+        }
         Ok((lsm, report))
     }
 
@@ -892,19 +896,17 @@ impl AdmittedLsm {
                 // back); under degrade-to-volatile the WAL is sealed at
                 // the last durable boundary and admission continues
                 // in-memory.
-                if let Some(d) = &self.shared.durability {
-                    if d.logging.load(Ordering::Relaxed) && !d.degraded.load(Ordering::Relaxed) {
+                if let Some(d) = self.shared.durability.get() {
+                    if !d.degraded.load(Ordering::Relaxed) {
                         // Bind the result so the WAL guard drops before the
                         // degrade path re-locks it.
                         let appended = lock_ignore_poison(&d.wal).append(batch);
                         match appended {
                             Ok(()) => {
-                                d.records_since_snapshot.fetch_add(1, Ordering::Relaxed);
+                                d.log_bytes
+                                    .fetch_add(wal::record_len(batch), Ordering::Relaxed);
                             }
-                            Err(e) => match d.config.degrade {
-                                DegradeMode::FailStop => return Err(e),
-                                DegradeMode::DegradeToVolatile => degrade_to_volatile(d),
-                            },
+                            Err(e) => fail_or_degrade(d, e)?,
                         }
                     }
                 }
@@ -956,8 +958,14 @@ impl AdmittedLsm {
     /// prefix is durable).  A queue id that disappears was drained by a
     /// rebalance handoff before removal, satisfying its target.
     ///
-    /// With durability on, a completed barrier over an idle pipeline also
-    /// writes a crash-consistent snapshot and rotates the write-ahead log.
+    /// With durability on, a completed barrier then syncs the write-ahead
+    /// log, even while other clients' batches are still queued, so every
+    /// batch it waited for is durable when it returns.  When the pipeline
+    /// is idle, it also checkpoints — writes a crash-consistent snapshot
+    /// and rotates the log — if the routing epoch moved or the log since
+    /// the newest snapshot has reached the bytes of that snapshot's run
+    /// files; otherwise the log keeps covering the drained batches, and
+    /// recovery replays them.
     ///
     /// # Errors
     ///
@@ -967,9 +975,10 @@ impl AdmittedLsm {
     /// [`LsmError::FlushTimedOut`] when a configured
     /// [`AdmissionConfig::flush_deadline`] expires before the drain
     /// (admitted batches still apply eventually); and
-    /// [`LsmError::Durability`] when the snapshot cannot be written under
-    /// [`DegradeMode::FailStop`] (the drain itself still happened; the WAL
-    /// keeps covering the drained records).
+    /// [`LsmError::Durability`] when the log cannot be synced or the
+    /// snapshot cannot be written under [`DegradeMode::FailStop`] (the
+    /// drain itself still happened; the WAL keeps covering the drained
+    /// records).
     pub fn flush(&self) -> Result<()> {
         self.flush_with_deadline(self.shared.config.flush_deadline)
     }
@@ -1011,7 +1020,7 @@ impl AdmittedLsm {
                 }
             };
         }
-        maybe_snapshot(&self.shared, &state)?;
+        sync_barrier(&self.shared, &state)?;
         drop(state);
         self.shared.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -1239,7 +1248,7 @@ impl AdmittedLsm {
 
     /// Durability counters, or `None` for an in-memory service.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        let d = self.shared.durability.as_ref()?;
+        let d = self.shared.durability.get()?;
         let (records, syncs, retries) = {
             let wal = lock_ignore_poison(&d.wal);
             (wal.records, wal.syncs, wal.retries)
@@ -1292,23 +1301,53 @@ fn degrade_to_volatile(d: &DurabilityState) {
     }
 }
 
-/// Snapshot-on-barrier: called at the end of a successful flush with the
-/// queue lock held.  A snapshot is taken only when logging is live, the
-/// pipeline is fully idle (nothing queued, in flight, or awaiting a
-/// rebalance), and something actually changed since the last snapshot
-/// (records logged, or the routing epoch moved — a split/merge re-lays
-/// the shards even without new records).  On success the WAL rotates to a
-/// fresh segment keyed to the new manifest and older generations are
-/// garbage-collected best-effort.
-fn maybe_snapshot(shared: &Shared, state: &QueueState) -> Result<()> {
-    let Some(d) = &shared.durability else {
+/// A durability failure under [`wal::DurabilityConfig::degrade`]: fail-stop
+/// returns it, degrade-to-volatile seals the WAL and carries on in memory.
+/// Called with the queue state lock held.
+fn fail_or_degrade(d: &DurabilityState, e: LsmError) -> Result<()> {
+    match d.config.degrade {
+        DegradeMode::FailStop => Err(e),
+        DegradeMode::DegradeToVolatile => {
+            degrade_to_volatile(d);
+            Ok(())
+        }
+    }
+}
+
+/// The durable end of a flush barrier, called once its drain completed,
+/// with the queue lock held: sync the active WAL segment, whether or not
+/// other clients' batches are still queued, then snapshot if one is due.
+fn sync_barrier(shared: &Shared, state: &QueueState) -> Result<()> {
+    let Some(d) = shared.durability.get() else {
         return Ok(());
     };
-    if !d.logging.load(Ordering::Relaxed) {
-        // Recovery replay in progress: the WAL on disk is still the only
-        // durable copy of the replayed records — don't rotate it away.
+    if d.degraded.load(Ordering::Relaxed) {
+        // The WAL is sealed at its last durable record: nothing to sync.
         return Ok(());
     }
+    let synced = lock_ignore_poison(&d.wal).sync();
+    synced.or_else(|e| fail_or_degrade(d, e))?;
+    maybe_snapshot(shared, state)
+}
+
+/// Snapshot when one is due: called after a barrier's WAL sync and after
+/// every rebalance handoff, with the queue lock held.  A snapshot needs
+/// durability attached and healthy and a fully idle pipeline (nothing
+/// queued, in flight, or awaiting a rebalance), so that it is a
+/// consistent cut.  It is due when the routing epoch moved (a split/merge
+/// re-lays the shards even without new records) or when the log since
+/// the newest manifest has reached the bytes of the run files that
+/// manifest references: after a barrier that skips it, the log stays
+/// smaller than those runs.  On success the WAL rotates to a fresh
+/// segment keyed to the new manifest and older generations are
+/// garbage-collected best-effort.
+fn maybe_snapshot(shared: &Shared, state: &QueueState) -> Result<()> {
+    let Some(d) = shared.durability.get() else {
+        // In memory, or recovery replay in progress: then the WAL on disk
+        // is still the only durable copy of the replayed records — don't
+        // rotate it away.
+        return Ok(());
+    };
     let idle = state.queued == 0 && state.in_flight == 0 && state.pending_rebalances.is_empty();
     if !idle {
         return Ok(());
@@ -1319,21 +1358,13 @@ fn maybe_snapshot(shared: &Shared, state: &QueueState) -> Result<()> {
         // for them.  Keep serving from memory instead.
         return Ok(());
     }
-    let dirty = d.records_since_snapshot.load(Ordering::Relaxed) > 0
-        || d.snapshot_epoch.load(Ordering::Relaxed) != state.epoch;
-    if !dirty {
+    let log = d.log_bytes.load(Ordering::Relaxed);
+    let due = d.snapshot_epoch.load(Ordering::Relaxed) != state.epoch
+        || (log > 0 && log >= d.covered_bytes.load(Ordering::Relaxed));
+    if !due {
         return Ok(());
     }
-    match snapshot_now(shared, d) {
-        Ok(()) => Ok(()),
-        Err(e) => match d.config.degrade {
-            DegradeMode::FailStop => Err(e),
-            DegradeMode::DegradeToVolatile => {
-                degrade_to_volatile(d);
-                Ok(())
-            }
-        },
-    }
+    snapshot_now(shared, d).or_else(|e| fail_or_degrade(d, e))
 }
 
 /// The snapshot body proper: sync the WAL, rotate to a fresh segment,
@@ -1390,12 +1421,14 @@ fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
         &table.router.split_points(),
         &shards,
     )?;
-    d.records_since_snapshot.store(0, Ordering::Relaxed);
+    d.log_bytes.store(0, Ordering::Relaxed);
     d.snapshot_epoch.store(table.epoch, Ordering::Relaxed);
     d.snapshots.fetch_add(1, Ordering::Relaxed);
     d.runs_reused.fetch_add(reused, Ordering::Relaxed);
     let failures = wal::collect_garbage(&d.vfs, &d.config.dir, seq, &runs);
     d.gc_failures.fetch_add(failures, Ordering::Relaxed);
+    d.covered_bytes
+        .store(wal::run_bytes(&runs), Ordering::Relaxed);
     *lock_ignore_poison(&d.prev_runs) = runs;
     Ok(())
 }
@@ -1685,8 +1718,8 @@ fn execute_rebalance(
     shared.space.notify_all();
     shared.drained.notify_all();
     // The routing epoch moved: persist the new shard layout if the
-    // pipeline happens to be idle (otherwise the epoch-dirty check makes
-    // the next flush barrier snapshot it).
+    // pipeline happens to be idle (otherwise the epoch check makes the
+    // next idle flush barrier snapshot it).
     maybe_snapshot(shared, state)?;
     Ok(Some(action))
 }
@@ -2257,6 +2290,35 @@ mod tests {
             "{err}"
         );
         assert!(matches!(lsm.flush(), Err(LsmError::ApplierPanicked { .. })));
+    }
+
+    #[test]
+    fn barrier_syncs_the_log_with_work_still_queued() {
+        let dir = std::env::temp_dir().join(format!(
+            "gpu-lsm-admission-busy-barrier-{}",
+            std::process::id()
+        ));
+        let config =
+            LsmConfig::default().durability(wal::DurabilityConfig::new(&dir).fsync_interval(8));
+        let (lsm, _) = AdmittedLsm::open_durable(device(), 4, 2, config).unwrap();
+        // Park the applier so the batch stays queued while the barrier
+        // runs; its record is the first of eight per fsync, so unsynced.
+        lsm.inject_applier_stall(500);
+        lsm.insert(&[(1, 10)]).unwrap();
+        let Some(d) = lsm.shared.durability.get() else {
+            panic!("open_durable attached no durability");
+        };
+        {
+            let state = lock_ignore_poison(&lsm.shared.state);
+            assert_eq!(state.queued, 1);
+            assert!(!lock_ignore_poison(&d.wal).is_synced());
+            sync_barrier(&lsm.shared, &state).unwrap();
+            assert!(lock_ignore_poison(&d.wal).is_synced());
+        }
+        assert_eq!(lsm.durability_stats().unwrap().snapshots, 0);
+        lsm.flush().unwrap();
+        drop(lsm);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

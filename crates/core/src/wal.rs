@@ -15,9 +15,9 @@
 //! gets a process-wide id when it is built, and a level has no mutators,
 //! so a `(shard, level)` slot that still holds the level (by id) its run
 //! file was written from keeps referencing that file.  Such a carried
-//! level is not copied, encoded or hashed; a flush-barrier snapshot only
-//! pays for the levels built since the previous one, each encoded in one
-//! pass straight from the level's arrays under the shard's read lock.
+//! level is not copied, encoded or hashed; a checkpoint only pays for the
+//! levels built since the previous one, each encoded in one pass straight
+//! from the level's arrays under the shard's read lock.
 //! Ids live in memory only: recovery binds each loaded run to the level it
 //! builds from it.  The on-disk format (per-run file sequence numbers,
 //! lengths and digests) and the load-time checksum of every run file are
@@ -42,11 +42,22 @@
 //! skipped, and such a segment would be truncated as a torn tail: the
 //! directory's whole log would be dropped without a word.
 //!
-//! The admission layer writes a snapshot at quiescent flush barriers and
-//! after shard split/merge epoch bumps.  It first rotates the WAL to a
-//! fresh segment keyed by the new sequence number, then writes the runs
-//! and the manifest, and last garbage-collects the superseded generation
-//! (sparing carried-over runs).  Rotating first means a record
+//! A flush barrier of the admission layer drains the queues and syncs the
+//! active WAL segment: the sync is what makes an acknowledged batch
+//! durable, since recovery replays it.  A **checkpoint** (a snapshot) runs
+//! at an idle barrier only when the routing epoch moved (a shard split or
+//! merge, which checkpoints at once) or when the log written since the
+//! newest manifest has reached the bytes of the run files that manifest
+//! references (0 without one) — the log-size trigger of ARIES-style
+//! checkpointing and of Raft's log compaction.  Two bounds follow: after a
+//! barrier that skips the checkpoint the log is smaller than the last
+//! manifest's runs, so recovery replays at most that much plus the tail no
+//! barrier synced; and checkpoints write about one byte per logged byte
+//! in steady state, on a doubling schedule while the structure only
+//! grows.  A checkpoint first rotates the WAL to a fresh segment keyed by
+//! the new sequence number, then writes the runs and the manifest, and
+//! last garbage-collects the superseded generation (sparing carried-over
+//! runs).  Rotating first means a record
 //! acknowledged after a failed snapshot sits in a segment that recovery
 //! replays whichever manifest is newest, and the manifest's directory
 //! sync also persists the new segment's entry.  Manifests become visible
@@ -63,14 +74,16 @@
 //! manifest that validates (checksums of the manifest and of every run
 //! file), rebuilds the shards from the runs byte-for-byte, then replays
 //! every WAL segment of that generation and later **through the normal
-//! admission path** in log order.  A torn or corrupt tail record ends the
-//! replay of its segment: the valid prefix is kept, the tail is truncated,
-//! never applied.
+//! admission path** in log order, decoding and submitting one record at a
+//! time.  That replay spans every barrier since the manifest.  A torn or
+//! corrupt tail record ends the replay of its segment: the valid prefix is
+//! kept, the tail is truncated, never applied.
 //!
 //! Fsync batching: [`DurabilityConfig::fsync_interval`] groups `n` record
 //! appends per `fsync`, amortizing the sync the same way coalescing
-//! amortizes apply cost.  A crash may lose at most the un-synced suffix of
-//! records — each of which was never acknowledged as durable.
+//! amortizes apply cost, and every flush barrier syncs the rest.  A crash
+//! may lose at most the un-synced suffix of records — each of which was
+//! never acknowledged as durable.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -100,6 +113,8 @@ const MANIFEST_VERSION: u32 = 3;
 /// Upper bound on one record's payload, so a corrupt length field cannot
 /// drive a gigantic allocation before the checksum gets a chance to fail.
 const MAX_RECORD_PAYLOAD: usize = 1 << 26;
+/// Bytes of a record frame's header: magic, payload length, digest.
+const RECORD_HEADER: usize = 16;
 
 /// Name of the sticky marker file written (best-effort) when the pipeline
 /// degrades to volatile; reported and cleared by the next successful
@@ -473,10 +488,15 @@ fn encode_record_into(batch: &UpdateBatch, out: &mut Vec<u8>) {
         let (k, v) = op.encode();
         (u64::from(k) | u64::from(v) << 32).to_le_bytes()
     }));
-    let checksum = digest(out.get(16..).unwrap_or_default());
-    if let Some(slot) = out.get_mut(8..16) {
+    let checksum = digest(out.get(RECORD_HEADER..).unwrap_or_default());
+    if let Some(slot) = out.get_mut(8..RECORD_HEADER) {
         slot.copy_from_slice(&checksum.to_le_bytes());
     }
+}
+
+/// Bytes `batch` takes in the log: its frame header plus 8 per op.
+pub(crate) fn record_len(batch: &UpdateBatch) -> u64 {
+    (RECORD_HEADER + 8 * batch.len()) as u64
 }
 
 /// Decode a record payload in one pass over its 8-byte pairs.
@@ -520,6 +540,34 @@ pub struct SegmentScan {
 /// first frame carries the format-2 record magic: that segment holds
 /// records this build cannot verify, not a torn tail.
 pub fn scan_segment(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<SegmentScan> {
+    let (mut records, mut record_ends) = (Vec::new(), Vec::new());
+    let (valid_len, torn_bytes) = replay_segment(vfs, path, |batch, end| {
+        records.push(batch);
+        record_ends.push(end);
+        Ok(())
+    })?;
+    Ok(SegmentScan {
+        records,
+        record_ends,
+        valid_len,
+        torn_bytes,
+    })
+}
+
+/// [`scan_segment`] without collecting: hand the valid prefix's records to
+/// `visit` front to back, one decoded batch at a time with the byte offset
+/// just past it, so the caller holds the segment's bytes and one record.
+/// Returns the length of the valid prefix and the bytes past it.
+///
+/// # Errors
+///
+/// Those of [`scan_segment`], and an error from `visit`, which ends the
+/// scan.
+pub(crate) fn replay_segment(
+    vfs: &Arc<dyn Vfs>,
+    path: &Path,
+    mut visit: impl FnMut(UpdateBatch, u64) -> Result<()>,
+) -> Result<(u64, u64)> {
     let bytes = vfs
         .read(path)
         .map_err(|e| io_err("read segment", path, e))?;
@@ -527,12 +575,7 @@ pub fn scan_segment(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<SegmentScan> {
         return Err(unsupported_format("segment", path, 2));
     }
     let mut cur = Cursor::new(&bytes);
-    let mut scan = SegmentScan {
-        records: Vec::new(),
-        record_ends: Vec::new(),
-        valid_len: 0,
-        torn_bytes: 0,
-    };
+    let mut valid_len = 0;
     loop {
         let header = (cur.u32(), cur.u32(), cur.u64());
         let (Some(magic), Some(len), Some(checksum)) = header else {
@@ -548,12 +591,10 @@ pub fn scan_segment(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<SegmentScan> {
         if digest(payload) != checksum {
             break;
         }
-        scan.records.push(decode_payload(payload));
-        scan.record_ends.push(cur.pos as u64);
-        scan.valid_len = cur.pos as u64;
+        valid_len = cur.pos as u64;
+        visit(decode_payload(payload), valid_len)?;
     }
-    scan.torn_bytes = bytes.len() as u64 - scan.valid_len;
-    Ok(scan)
+    Ok((valid_len, bytes.len() as u64 - valid_len))
 }
 
 /// The active WAL segment: an append-only record writer with grouped
@@ -770,6 +811,12 @@ impl Wal {
     pub(crate) fn is_sealed(&self) -> bool {
         self.sealed
     }
+
+    /// Whether every record appended so far is on stable storage.
+    #[cfg(test)]
+    pub(crate) fn is_synced(&self) -> bool {
+        self.synced_len == self.valid_len
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -846,9 +893,21 @@ pub(crate) struct LoadedSnapshot {
     pub corrupt_skipped: u64,
 }
 
+/// Bytes of the run file of `len` elements: a 16-byte header (magic,
+/// reserved word, length), then 4 per key and 4 per value.
+fn run_file_len(len: u64) -> u64 {
+    16 + 8 * len
+}
+
+/// Bytes of the run files `runs` references: what a log since their
+/// manifest is measured against before the next checkpoint.
+pub(crate) fn run_bytes(runs: &RunMap) -> u64 {
+    runs.values().map(|run| run_file_len(run.len)).sum()
+}
+
 /// A run file: `magic | reserved | len | keys | values`, all little-endian.
 fn encode_run(keys: &[EncodedKey], values: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + keys.len() * 8);
+    let mut out = Vec::with_capacity(run_file_len(keys.len() as u64) as usize);
     put_u32(&mut out, RUN_MAGIC);
     put_u32(&mut out, 0); // reserved
     put_u64(&mut out, keys.len() as u64);
@@ -1579,10 +1638,15 @@ mod tests {
             &mut record,
         );
         assert_eq!(record.len(), 16 + 3 * 8);
+        assert_eq!(
+            record_len(&batch(&[(1, Some(10)), (2, None), (3, Some(30))])),
+            record.len() as u64
+        );
         assert_eq!(record[..4], RECORD_MAGIC.to_le_bytes());
         assert_eq!(record[8..16], digest(&record[16..]).to_le_bytes());
         let run = encode_run(&[3, 5, 9], &[30, 50, 90]);
         assert_eq!(run.len(), 16 + 3 * 8);
+        assert_eq!(run_file_len(3), run.len() as u64);
         assert_eq!(
             decode_run(&run, Path::new("run")).unwrap(),
             (vec![3, 5, 9], vec![30, 50, 90])

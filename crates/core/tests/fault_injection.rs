@@ -456,7 +456,11 @@ fn gc_failures_are_counted_and_surfaced() {
 
     lsm.insert(&[(1, 10)]).unwrap();
     lsm.flush().unwrap(); // snapshot 1: tries to remove wal-0.log
-    lsm.insert(&[(2, 20)]).unwrap();
+
+    // A whole batch logs as many bytes as snapshot 1's one padded run, so
+    // the next barrier snapshots too.
+    let second: Vec<(u32, u32)> = (2..2 + BATCH_SIZE as u32).map(|k| (k, k * 10)).collect();
+    lsm.insert(&second).unwrap();
     lsm.flush().unwrap(); // snapshot 2: wal-0.log *and* generation 1
 
     let stats = lsm.durability_stats().unwrap();
@@ -469,14 +473,25 @@ fn gc_failures_are_counted_and_surfaced() {
     );
     assert!(!stats.degraded, "GC trouble is not a durability loss");
     // The backlog is still on disk (nothing could be removed) and a clean
-    // reopen both recovers and, on its next snapshot, drains it.
+    // reopen both recovers and, on its next snapshot, drains it.  That
+    // snapshot comes once the log has reached generation 2's runs.
     drop(lsm);
+    assert!(dir.join("wal-0.log").exists() && dir.join("MANIFEST-1").exists());
     let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, clean_config(&dir)).unwrap();
     assert_eq!(lsm.lookup(&[1, 2]), vec![Some(10), Some(20)]);
-    lsm.insert(&[(3, 30)]).unwrap();
-    lsm.flush().unwrap();
+    for round in 0.. {
+        let stats = lsm.durability_stats().unwrap();
+        if stats.snapshots > 0 {
+            break;
+        }
+        assert!(round < 8, "no snapshot after {round} full batches");
+        let pairs: Vec<(u32, u32)> = (0..BATCH_SIZE as u32).map(|i| (100 + i, i)).collect();
+        lsm.insert(&pairs).unwrap();
+        lsm.flush().unwrap();
+    }
     let stats = lsm.durability_stats().unwrap();
     assert_eq!(stats.gc_failures, 0, "healthy sweep reports no failures");
+    assert!(!dir.join("wal-0.log").exists() && !dir.join("MANIFEST-1").exists());
     drop(lsm);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -167,8 +167,9 @@ enum CutStyle {
 
 /// One seeded run: write through the WAL with random flush barriers, tear
 /// the log at a random point in the chosen style, recover, and compare
-/// against the model rolled back to the surviving prefix.
-fn run_kill_point_case(seed: u64, style: CutStyle) {
+/// against the model rolled back to the surviving prefix.  Returns how many
+/// barriers since the last checkpoint the replay spanned.
+fn run_kill_point_case(seed: u64, style: CutStyle) -> usize {
     let dir = temp_dir("fuzz");
     let mut rng = Rng::new(seed.wrapping_mul(3) + style as u64 + 1);
     let device = device();
@@ -180,16 +181,24 @@ fn run_kill_point_case(seed: u64, style: CutStyle) {
 
     let mut history: Vec<UpdateBatch> = Vec::new();
     let mut covered = 0usize; // batches captured by the last snapshot
+    let mut barriers_since = 0usize; // barriers since it that did not snapshot
     let num_batches = 6 + rng.below(10) as usize;
     for _ in 0..num_batches {
         let batch = random_batch(&mut rng, BATCH_SIZE);
         lsm.submit(&batch).unwrap();
         history.push(batch);
         if rng.below(4) == 0 {
-            // A barrier over the now-idle pipeline snapshots and rotates
-            // the WAL: everything so far moves into the manifest.
+            // A barrier syncs the WAL.  It snapshots and rotates the WAL,
+            // moving everything so far into the manifest, only once the
+            // log since the last manifest reaches that manifest's runs.
+            let seq = lsm.durability_stats().unwrap().manifest_seq;
             lsm.flush().unwrap();
-            covered = history.len();
+            if lsm.durability_stats().unwrap().manifest_seq == seq {
+                barriers_since += 1;
+            } else {
+                covered = history.len();
+                barriers_since = 0;
+            }
         }
     }
     let manifest_seq = lsm.durability_stats().unwrap().manifest_seq;
@@ -265,16 +274,21 @@ fn run_kill_point_case(seed: u64, style: CutStyle) {
     assert_matches_model(&lsm, &model, &mut rng);
     drop(lsm);
     std::fs::remove_dir_all(&dir).ok();
+    barriers_since
 }
 
-/// 35 seeds × 3 cut styles = 105 distinct kill points.
+/// 35 seeds × 3 cut styles = 105 distinct kill points, some of them with
+/// a log that spans several barriers since the last checkpoint.
 #[test]
 fn recovery_fuzz_kill_points() {
+    let mut spans = Vec::new();
     for seed in 0..35 {
-        run_kill_point_case(seed, CutStyle::RecordBoundary);
-        run_kill_point_case(seed, CutStyle::MidRecord);
-        run_kill_point_case(seed, CutStyle::CorruptByte);
+        spans.push(run_kill_point_case(seed, CutStyle::RecordBoundary));
+        spans.push(run_kill_point_case(seed, CutStyle::MidRecord));
+        spans.push(run_kill_point_case(seed, CutStyle::CorruptByte));
     }
+    let spanning = spans.iter().filter(|&&n| n >= 2).count();
+    assert!(spanning >= 10, "cuts past two or more barriers: {spans:?}");
 }
 
 #[test]
@@ -430,14 +444,19 @@ fn unchanged_runs_are_reused_across_snapshot_generations() {
     lsm.check_invariants().unwrap();
 
     // Carrying survives the restart: recovery binds the loaded runs to the
-    // levels it built, so a barrier touching only shard 1 (generation 3)
-    // still references generation 1's file for shard 0 and writes nothing
-    // new for it.
-    let high2: Vec<(u32, u32)> = (0..BATCH_SIZE as u32)
+    // levels it built, so a snapshot after writes touching only shard 1
+    // (generation 3) still references generation 1's file for shard 0 and
+    // writes nothing new for it.  Generation 2 references two one-batch
+    // runs, so the log takes two batches to reach them: the first barrier
+    // only syncs it.
+    let high2: Vec<(u32, u32)> = (0..2 * BATCH_SIZE as u32)
         .map(|i| ((1 << 30) + BATCH_SIZE as u32 + i, i + 2))
         .collect();
-    lsm.insert(&high2).unwrap();
-    lsm.flush().unwrap();
+    for chunk in high2.chunks(BATCH_SIZE) {
+        assert_eq!(lsm.durability_stats().unwrap().manifest_seq, 2);
+        lsm.insert(chunk).unwrap();
+        lsm.flush().unwrap();
+    }
     let stats = lsm.durability_stats().unwrap();
     assert_eq!(stats.manifest_seq, 3);
     assert_eq!(stats.runs_reused, 1, "shard 0's run carried");
@@ -466,6 +485,242 @@ fn unchanged_runs_are_reused_across_snapshot_generations() {
     let keys: Vec<u32> = all.iter().map(|&(k, _)| k).collect();
     let want: Vec<Option<u32>> = all.iter().map(|&(_, v)| Some(v)).collect();
     assert_eq!(lsm.lookup(&keys), want);
+    lsm.check_invariants().unwrap();
+    drop(lsm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bytes of the log since manifest `seq` (its segment and any later one)
+/// and of the run files in `dir`, which after a garbage collection that
+/// removed nothing in error are exactly the runs that manifest references.
+fn log_and_covered_bytes(dir: &Path, seq: u64) -> (u64, u64) {
+    let (mut log, mut covered) = (0, 0);
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        let name = entry.file_name().into_string().unwrap();
+        let len = entry.metadata().unwrap().len();
+        let segment = name
+            .strip_prefix("wal-")
+            .and_then(|n| n.strip_suffix(".log"));
+        match segment {
+            Some(s) if s.parse::<u64>().unwrap() >= seq => log += len,
+            Some(_) => {}
+            None if name.starts_with("run-") => covered += len,
+            None => {}
+        }
+    }
+    (log, covered)
+}
+
+/// The checkpoint trigger, read off the directory: a barrier snapshots
+/// exactly when the log since the newest manifest has reached the run
+/// files that manifest references, and after every barrier that does not,
+/// the log is still smaller than those runs.
+#[test]
+fn checkpoint_trigger_keeps_the_log_below_the_covered_runs() {
+    let dir = temp_dir("trigger");
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(&dir)).unwrap();
+    let mut rng = Rng::new(0x7419);
+    let (mut checkpoints, mut skips) = (0, 0);
+    for round in 0..48 {
+        for _ in 0..=rng.below(2) {
+            lsm.submit(&random_batch(&mut rng, BATCH_SIZE)).unwrap();
+        }
+        let before = lsm.durability_stats().unwrap();
+        let (log, covered) = log_and_covered_bytes(&dir, before.manifest_seq);
+        lsm.flush().unwrap();
+        let after = lsm.durability_stats().unwrap();
+        let (log_after, covered_after) = log_and_covered_bytes(&dir, after.manifest_seq);
+        if after.snapshots > before.snapshots {
+            assert!(
+                log >= covered,
+                "round {round}: log {log} < covered {covered}"
+            );
+            assert_eq!(log_after, 0, "round {round}: the snapshot rotated the log");
+            checkpoints += 1;
+        } else {
+            assert!(
+                log_after < covered_after,
+                "round {round}: log {log_after} >= covered {covered_after}"
+            );
+            skips += 1;
+        }
+    }
+    assert!(checkpoints >= 3, "{checkpoints} checkpoints");
+    assert!(
+        skips >= checkpoints,
+        "{skips} barriers skipped the snapshot"
+    );
+    drop(lsm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash between checkpoints: the log since the newest manifest spans
+/// several barriers that synced it without a snapshot, plus a tail no
+/// barrier covered, and recovery replays exactly the batches logged since
+/// that manifest.
+#[test]
+fn checkpoint_crash_between_checkpoints_replays_every_batch_since() {
+    let dir = temp_dir("between");
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(&dir)).unwrap();
+    let mut rng = Rng::new(0xB7);
+    let mut model = BTreeMap::new();
+    let mut since_manifest = 0u64; // batches logged since the newest manifest
+    let mut barriers_since = 0; // barriers since it, none of which snapshotted
+    for _ in 0..64 {
+        let batch = random_batch(&mut rng, BATCH_SIZE);
+        lsm.submit(&batch).unwrap();
+        apply_to_model(&mut model, &batch);
+        since_manifest += 1;
+        let seq = lsm.durability_stats().unwrap().manifest_seq;
+        lsm.flush().unwrap();
+        if lsm.durability_stats().unwrap().manifest_seq == seq {
+            barriers_since += 1;
+        } else {
+            since_manifest = 0;
+            barriers_since = 0;
+        }
+        if barriers_since == 3 {
+            break;
+        }
+    }
+    assert_eq!(barriers_since, 3, "the log never outlived three barriers");
+    for _ in 0..2 {
+        let batch = random_batch(&mut rng, BATCH_SIZE);
+        lsm.submit(&batch).unwrap();
+        apply_to_model(&mut model, &batch);
+        since_manifest += 1;
+    }
+    let manifest_seq = lsm.durability_stats().unwrap().manifest_seq;
+    drop(lsm); // drains and closes; does not snapshot
+
+    let (lsm, report) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(&dir)).unwrap();
+    assert_eq!(report.manifest_seq, Some(manifest_seq));
+    assert_eq!(report.replayed_batches, since_manifest);
+    assert_eq!(report.torn_bytes, 0);
+    assert_matches_model(&lsm, &model, &mut rng);
+    lsm.check_invariants().unwrap();
+    drop(lsm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Barriers that each close one batch, on a directory whose second
+/// manifest publication fails once, run until that failure: a snapshot
+/// due at a trigger barrier after the first, with barriers between the two
+/// that only synced the log.  Returns the flush result of the failing
+/// barrier and the model of every batch admitted so far, all of which
+/// that barrier synced.
+fn run_to_failing_trigger(
+    lsm: &AdmittedLsm,
+    fault: &FaultVfs,
+    rng: &mut Rng,
+) -> (gpu_lsm::Result<()>, BTreeMap<u32, u32>) {
+    let mut model = BTreeMap::new();
+    let mut skipped = 0;
+    for _ in 0..64 {
+        let batch = random_batch(rng, BATCH_SIZE);
+        lsm.submit(&batch).unwrap();
+        apply_to_model(&mut model, &batch);
+        let snapshots = lsm.durability_stats().unwrap().snapshots;
+        let flushed = lsm.flush();
+        if fault.injected_faults() == 1 {
+            assert_eq!(snapshots, 1, "the first barrier snapshotted");
+            assert!(skipped >= 1, "no barrier between the two triggers");
+            return (flushed, model);
+        }
+        flushed.unwrap();
+        if lsm.durability_stats().unwrap().snapshots == snapshots {
+            skipped += 1;
+        }
+    }
+    panic!("the log never reached the second trigger");
+}
+
+/// A durable config whose first two manifest renames are the two
+/// snapshots' publications; the second fails once.
+fn failing_second_publication(dir: &Path, degrade: DegradeMode) -> (FaultVfs, LsmConfig) {
+    let fault = FaultVfs::scripted(vec![Fault::transient(
+        FaultOp::Rename,
+        1,
+        std::io::ErrorKind::Other,
+    )]);
+    let cfg = LsmConfig::default().durability(
+        DurabilityConfig::new(dir)
+            .fsync_interval(4)
+            .retry(RetryPolicy::none())
+            .degrade(degrade)
+            .vfs(Arc::new(fault.clone())),
+    );
+    (fault, cfg)
+}
+
+#[test]
+fn checkpoint_failure_at_a_later_trigger_fails_stop() {
+    let dir = temp_dir("later-failstop");
+    let (fault, cfg) = failing_second_publication(&dir, DegradeMode::FailStop);
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, cfg).unwrap();
+    let mut rng = Rng::new(0xFA57);
+    let (flushed, mut model) = run_to_failing_trigger(&lsm, &fault, &mut rng);
+    assert!(
+        matches!(flushed, Err(LsmError::Durability { .. })),
+        "{flushed:?}"
+    );
+    let stats = lsm.durability_stats().unwrap();
+    assert!(!stats.degraded);
+    assert_eq!(stats.snapshots, 1);
+    assert_eq!(stats.manifest_seq, 2, "the failed snapshot rotated the log");
+
+    // Batches acknowledged after the failure stay covered by the log, and
+    // the next barrier, still past the trigger, snapshots them.
+    let batch = random_batch(&mut rng, BATCH_SIZE);
+    lsm.submit(&batch).unwrap();
+    apply_to_model(&mut model, &batch);
+    lsm.flush().unwrap();
+    let stats = lsm.durability_stats().unwrap();
+    assert_eq!((stats.snapshots, stats.manifest_seq), (2, 3));
+    let tail = random_batch(&mut rng, BATCH_SIZE);
+    lsm.submit(&tail).unwrap();
+    apply_to_model(&mut model, &tail);
+    drop(lsm);
+
+    let (lsm, report) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(&dir)).unwrap();
+    assert_eq!(report.manifest_seq, Some(3));
+    assert_eq!(report.replayed_batches, 1);
+    assert_matches_model(&lsm, &model, &mut rng);
+    lsm.check_invariants().unwrap();
+    drop(lsm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkpoint_failure_at_a_later_trigger_degrades_to_volatile() {
+    let dir = temp_dir("later-degrade");
+    let (fault, cfg) = failing_second_publication(&dir, DegradeMode::DegradeToVolatile);
+    let (lsm, _) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, cfg).unwrap();
+    let mut rng = Rng::new(0xDE97);
+    let (flushed, durable) = run_to_failing_trigger(&lsm, &fault, &mut rng);
+    flushed.unwrap();
+    let stats = lsm.durability_stats().unwrap();
+    assert!(stats.degraded);
+    assert_eq!(stats.snapshots, 1);
+
+    // From here on the service admits in memory only and never snapshots.
+    let mut full = durable.clone();
+    let batch = random_batch(&mut rng, BATCH_SIZE);
+    lsm.submit(&batch).unwrap();
+    apply_to_model(&mut full, &batch);
+    lsm.flush().unwrap();
+    assert_eq!(lsm.durability_stats().unwrap().snapshots, 1);
+    assert_matches_model(&lsm, &full, &mut rng);
+    drop(lsm);
+
+    // Recovery replays the log since the first manifest, which the
+    // failing barrier had synced in full, and nothing after it.
+    let (lsm, report) = AdmittedLsm::open_durable(device(), BATCH_SIZE, 2, config(&dir)).unwrap();
+    assert!(report.prior_degraded);
+    assert_eq!(report.manifest_seq, Some(1));
+    assert_eq!(report.torn_bytes, 0);
+    assert_matches_model(&lsm, &durable, &mut rng);
     lsm.check_invariants().unwrap();
     drop(lsm);
     std::fs::remove_dir_all(&dir).ok();
